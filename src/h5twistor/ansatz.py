@@ -137,17 +137,6 @@ def psi_transform(direction: str, ctx: Context = CTX5) -> PsiMap:
     raise AnsatzError(f"direction must be {D0!r} or {D1!r}")
 
 
-def _integrate_poly(p: MultiPoly, name: str) -> MultiPoly:
-    """Termwise antiderivative with integration constant zero."""
-    i = p.ctx.index(name)
-    terms = {}
-    for e, c in p.terms.items():
-        d = list(e)
-        d[i] += 1
-        terms[tuple(d)] = c / CRational.coerce(d[i])
-    return MultiPoly(p.ctx, terms)
-
-
 def _as_poly(f: RationalFunction, what: str) -> MultiPoly:
     if not f.is_polynomial():
         raise AnsatzError(f"{what} is not polynomial")
@@ -169,8 +158,8 @@ def poincare_integrate(
     G1 = _as_poly(g1, "g1").substitute(psi.forward)
     if G0.derivative(vb) != G1.derivative(va):
         raise AnsatzError("closedness condition fails; no potential exists")
-    F0 = _integrate_poly(G0, va)
-    F = F0 + _integrate_poly(G1 - F0.derivative(vb), vb)
+    F0 = G0.integrate(va)
+    F = F0 + (G1 - F0.derivative(vb)).integrate(vb)
     return RationalFunction(F.substitute(psi.inverse))
 
 

@@ -177,10 +177,6 @@ def _exact(ok: bool, detail: str = "") -> Tuple[str, str]:
     return ("exact-pass" if ok else "fail", detail)
 
 
-def _numeric(ok: bool, detail: str = "") -> Tuple[str, str]:
-    return ("numeric-pass" if ok else "fail", detail)
-
-
 def _rand_crational(rng) -> CRational:
     return CRational(
         Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
@@ -547,11 +543,14 @@ SUITES: Dict[str, Callable[[int], List[Check]]] = {
 }
 
 
-def run_suite(name: str, seed: int) -> dict:
+def run_suite(name: str, seed: int, only: str | None = None) -> dict:
+    """Run a suite (or ``all``); ``only`` keeps the one check with that id."""
     names = sorted(SUITES) if name == "all" else [name]
     entries = []
     for n in names:
         for check_id, fn in SUITES[n](seed):
+            if only is not None and check_id != only:
+                continue
             try:
                 status, detail = fn()
             except Exception as exc:  # surface, don't crash the report
@@ -582,10 +581,13 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def cmd_verify(args) -> int:
-    report = run_suite(args.suite, args.seed)
-    _emit(report, args.out)
+def _finish(report: dict, out: str | None) -> int:
+    _emit(report, out)
     return 0 if all(e["status"] != "fail" for e in report["entries"]) else 1
+
+
+def cmd_verify(args) -> int:
+    return _finish(run_suite(args.suite, args.seed), args.out)
 
 
 def _matrix_to_json(m: MatRF) -> List[List[str]]:
@@ -681,8 +683,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    return cmd_verify(args)
+def cmd_real_check(args) -> int:
+    only = None if args.check is None else f"realslice.{args.check}"
+    ids = [check_id for check_id, _ in _suite_realslice(args.seed)]
+    if only is not None and only not in ids:
+        names = ", ".join(i.split(".", 1)[1] for i in ids)
+        error = f"unknown real-slice check {args.check!r}; choose from {names}"
+        print(json.dumps({"schema": 1, "error": error}))
+        return 2
+    return _finish(run_suite("realslice", args.seed, only), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -722,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="emit the combined verification report")
     p_rep.add_argument("--seed", type=int, default=2024)
     p_rep.add_argument("--out", default=None)
-    p_rep.set_defaults(fn=cmd_report, suite="all")
+    p_rep.set_defaults(fn=cmd_verify, suite="all")
 
     # convenience aliases for individual areas
     p_tw = sub.add_parser("twistor", help="twistor-specific checks")
@@ -736,10 +745,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_real = sub.add_parser("real", help="real-slice checks")
     real_sub = p_real.add_subparsers(dest="real_command", required=True)
     p_rc = real_sub.add_parser("check")
-    p_rc.add_argument("--suite", default="contact-instanton")
+    p_rc.add_argument(
+        "--suite", dest="check", default=None,
+        help="one real-slice check, e.g. contact-instanton (default: all of them)",
+    )
     p_rc.add_argument("--seed", type=int, default=2024)
     p_rc.add_argument("--out", default=None)
-    p_rc.set_defaults(fn=cmd_verify, suite="realslice")
+    p_rc.set_defaults(fn=cmd_real_check)
 
     p_so6 = sub.add_parser("so6", help="matrix-model checks")
     so6_sub = p_so6.add_subparsers(dest="so6_command", required=True)

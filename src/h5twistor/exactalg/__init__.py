@@ -6,7 +6,7 @@ from .crational import CR_I, CR_ONE, CR_ZERO, CRational
 from .laurent import ZetaLaurent
 from .matrix import MatRF, SingularMatrixError
 from .poly import Context, ContextError, MultiPoly, make_context
-from .rational import RationalFunction, rf_arith, rf_equal
+from .rational import RationalFunction
 from .symbols import ZETA, ZETA_INV, SymbolPoly, symbol_context
 
 __all__ = [
@@ -19,8 +19,6 @@ __all__ = [
     "MultiPoly",
     "make_context",
     "RationalFunction",
-    "rf_arith",
-    "rf_equal",
     "MatRF",
     "SingularMatrixError",
     "ZetaLaurent",

@@ -3,16 +3,41 @@
 A context is an ordered tuple of variable names.  Mixing values from
 different contexts is an error, never a silent coercion; use
 ``MultiPoly.substitute`` to move between contexts.
+
+A polynomial is stored as ``(1/den) * sum (a + b*i) * x^e``: ``a`` and ``b``
+are Python ints and ``den`` is the least positive common denominator, so
+the form is canonical and ``==``/``hash`` are structural.  ``terms`` maps a
+packed monomial to its Gaussian-integer numerator ``(a, b)``.
+
+A packed monomial holds the exponent vector in one int, ``FIELD_BITS`` bits
+per variable, the first context variable in the highest field; integer
+order is therefore lex order on exponent vectors.  The top bit of every
+field is a guard bit that a valid monomial leaves clear, so exponents are at
+most ``MAX_EXPONENT``, a monomial product is one int addition that cannot
+carry into the next field, and divisibility is one masked subtraction.  An
+exponent past ``MAX_EXPONENT`` raises ``OverflowError``.
+
+Only this module reads or builds ``terms``; ``CRational`` is the scalar of
+the public API (``const``, ``scale``, ``constant_value``, ``leading``,
+printing).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from typing import Dict, Mapping, Tuple
 
-from .crational import CRational, CR_ONE, CR_ZERO
+from .crational import CRational, CR_ZERO
 
 Context = Tuple[str, ...]
 Exponents = Tuple[int, ...]
+
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
+_GUARD_SHIFT = FIELD_BITS - 1
 
 
 class ContextError(ValueError):
@@ -25,22 +50,94 @@ def make_context(*names: str) -> Context:
     return tuple(names)
 
 
+def _guard(n: int) -> int:
+    """Mask of the guard bits of ``n`` fields."""
+    return ((1 << (FIELD_BITS * n)) - 1) // _FIELD << _GUARD_SHIFT
+
+
+def _overflow(ctx: Context) -> OverflowError:
+    return OverflowError(
+        f"an exponent exceeds {MAX_EXPONENT}, the packed exponent limit, in context {ctx}"
+    )
+
+
+def _unpack(key: int, n: int) -> Exponents:
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        out[i] = key & _FIELD
+        key >>= FIELD_BITS
+    return tuple(out)
+
+
+def _field_min(a: int, b: int, guard: int) -> int:
+    """Componentwise minimum of two packed monomials."""
+    ge = ((a | guard) - b) & guard  # guard bit set in the fields where a >= b
+    mask = ge | (ge - (ge >> _GUARD_SHIFT))
+    return (b & mask) | (a & ~mask)
+
+
+def _split(c: CRational) -> Tuple[int, int, int]:
+    """``c`` as ``(a, b, d)`` with ``c = (a + b*i) / d``."""
+    re, im = c.re, c.im
+    d = lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+def _scalar(a: int, b: int, d: int) -> CRational:
+    return CRational(Fraction(a, d), Fraction(b, d))
+
+
+def _mul_terms(t1: dict, t2: dict, ctx: Context) -> dict:
+    """Product of two term maps; only int products in the inner loop."""
+    if len(t1) > len(t2):
+        t1, t2 = t2, t1
+    re: Dict[int, int] = {}
+    if any(b for _, b in t1.values()) or any(b for _, b in t2.values()):
+        inner = [(e, a, b) for e, (a, b) in t2.items()]
+        im: Dict[int, int] = {}
+        rget, iget = re.get, im.get
+        for e1, (a1, b1) in t1.items():
+            for e2, a2, b2 in inner:
+                e = e1 + e2
+                re[e] = rget(e, 0) + a1 * a2 - b1 * b2
+                im[e] = iget(e, 0) + a1 * b2 + b1 * a2
+        terms = {e: (a, im[e]) for e, a in re.items() if a or im[e]}
+    else:
+        inner = [(e, a) for e, (a, _) in t2.items()]
+        get = re.get
+        for e1, (a1, _) in t1.items():
+            for e2, a2 in inner:
+                e = e1 + e2
+                re[e] = get(e, 0) + a1 * a2
+        terms = {e: (a, 0) for e, a in re.items() if a}
+    guard = _guard(len(ctx))
+    for e in terms:
+        if e & guard:
+            raise _overflow(ctx)
+    return terms
+
+
 class MultiPoly:
-    """Sparse polynomial: map from exponent vector to nonzero CRational."""
+    """Sparse polynomial over Q(i); see the module docstring for the layout."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "den")
 
-    def __init__(self, ctx: Context, terms: Mapping[Exponents, CRational]):
-        clean: Dict[Exponents, CRational] = {}
-        n = len(ctx)
-        for exps, c in terms.items():
-            if len(exps) != n:
-                raise ValueError(f"exponent vector {exps} does not match context {ctx}")
-            c = CRational.coerce(c)
-            if c:
-                clean[exps] = c
-        object.__setattr__(self, "ctx", tuple(ctx))
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, ctx: Context, terms: Dict[int, Tuple[int, int]], den: int = 1):
+        """``terms / den`` from zero-free packed terms and a positive ``den``,
+        with their common content divided out.  Users build polynomials
+        with ``zero``, ``const``, ``var`` and the ring operations."""
+        if den != 1:
+            g = den
+            for a, b in terms.values():
+                g = gcd(g, a, b)
+                if g == 1:
+                    break
+            if g != 1:
+                den //= g
+                terms = {e: (a // g, b // g) for e, (a, b) in terms.items()}
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -49,43 +146,43 @@ class MultiPoly:
 
     @staticmethod
     def zero(ctx: Context) -> "MultiPoly":
-        return MultiPoly(ctx, {})
+        return MultiPoly(tuple(ctx), {})
 
     @staticmethod
     def const(ctx: Context, c) -> "MultiPoly":
-        return MultiPoly(ctx, {(0,) * len(ctx): CRational.coerce(c)})
+        a, b, d = _split(CRational.coerce(c))
+        return MultiPoly(tuple(ctx), {0: (a, b)} if a or b else {}, d)
 
     @staticmethod
     def one(ctx: Context) -> "MultiPoly":
-        return MultiPoly.const(ctx, 1)
+        return MultiPoly(tuple(ctx), {0: (1, 0)})
 
     @staticmethod
     def var(ctx: Context, name: str) -> "MultiPoly":
-        try:
-            i = ctx.index(name)
-        except ValueError:
-            raise ContextError(f"variable {name!r} not in context {ctx}") from None
-        e = [0] * len(ctx)
-        e[i] = 1
-        return MultiPoly(ctx, {tuple(e): CR_ONE})
+        ctx = tuple(ctx)
+        return MultiPoly(ctx, {1 << _shift(ctx, name): (1, 0)})
 
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    def is_one(self) -> bool:
+        return self.den == 1 and self.terms == {0: (1, 0)}
+
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def constant_value(self) -> CRational:
         if self.is_zero():
             return CR_ZERO
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return _scalar(*self.terms[0], self.den)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        n = len(self.ctx)
+        return max((sum(_unpack(e, n)) for e in self.terms), default=0)
 
     def _check(self, other: "MultiPoly"):
         if self.ctx != other.ctx:
@@ -93,25 +190,41 @@ class MultiPoly:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "MultiPoly":
+        """``self + sign * other`` over the least common denominator."""
         other = self._coerce(other)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, CR_ZERO) + c
-            if s:
-                terms[e] = s
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        terms = dict(self.terms) if m1 == 1 else {
+            e: (a * m1, b * m1) for e, (a, b) in self.terms.items()
+        }
+        m2 *= sign
+        get = terms.get
+        for e, (a, b) in other.terms.items():
+            old = get(e)
+            if old is None:
+                terms[e] = (a * m2, b * m2)
             else:
-                terms.pop(e, None)
-        return MultiPoly(self.ctx, terms)
+                a = old[0] + a * m2
+                b = old[1] + b * m2
+                if a or b:
+                    terms[e] = (a, b)
+                else:
+                    del terms[e]
+        return MultiPoly(self.ctx, terms, d1 * m1)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return MultiPoly(self.ctx, {e: (-a, -b) for e, (a, b) in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -119,22 +232,18 @@ class MultiPoly:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check(other)
-        terms: Dict[Exponents, CRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, CR_ZERO) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return MultiPoly(self.ctx, terms)
+        return MultiPoly(
+            self.ctx, _mul_terms(self.terms, other.terms, self.ctx), self.den * other.den
+        )
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
-        c = CRational.coerce(c)
-        return MultiPoly(self.ctx, {e: k * c for e, k in self.terms.items()})
+        p, q, r = _split(CRational.coerce(c))
+        if not (p or q):
+            return MultiPoly(self.ctx, {})
+        terms = {e: (a * p - b * q, a * q + b * p) for e, (a, b) in self.terms.items()}
+        return MultiPoly(self.ctx, terms, self.den * r)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -157,18 +266,42 @@ class MultiPoly:
 
     def derivative(self, name: str) -> "MultiPoly":
         """Termwise formal partial derivative with respect to ``name``."""
-        try:
-            i = self.ctx.index(name)
-        except ValueError:
-            raise ContextError(f"unknown variable {name!r} in context {self.ctx}") from None
-        terms: Dict[Exponents, CRational] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            d = list(e)
-            d[i] -= 1
-            terms[tuple(d)] = c * e[i]
-        return MultiPoly(self.ctx, terms)
+        shift = _shift(self.ctx, name)
+        unit = 1 << shift
+        terms = {}
+        for e, (a, b) in self.terms.items():
+            k = (e >> shift) & _FIELD
+            if k:
+                terms[e - unit] = (a * k, b * k)
+        return MultiPoly(self.ctx, terms, self.den)
+
+    def integrate(self, name: str) -> "MultiPoly":
+        """Termwise antiderivative in ``name`` with integration constant zero."""
+        shift = _shift(self.ctx, name)
+        unit = 1 << shift
+        guard = _guard(len(self.ctx))
+        powers = {e: ((e >> shift) & _FIELD) + 1 for e in self.terms}
+        m = lcm(*powers.values())
+        terms = {}
+        for e, (a, b) in self.terms.items():
+            if (e + unit) & guard:
+                raise _overflow(self.ctx)
+            f = m // powers[e]
+            terms[e + unit] = (a * f, b * f)
+        return MultiPoly(self.ctx, terms, self.den * m)
+
+    def cancel_inverse_pair(self, name: str, inverse: str) -> "MultiPoly":
+        """Apply the relation ``name * inverse = 1``: every monomial loses the
+        common power of the two variables."""
+        s, t = _shift(self.ctx, name), _shift(self.ctx, inverse)
+        terms: dict = {}
+        for e, (a, b) in self.terms.items():
+            m = min((e >> s) & _FIELD, (e >> t) & _FIELD)
+            e -= (m << s) + (m << t)
+            old = terms.get(e)
+            terms[e] = (a, b) if old is None else (old[0] + a, old[1] + b)
+        terms = {e: c for e, c in terms.items() if c[0] or c[1]}
+        return MultiPoly(self.ctx, terms, self.den)
 
     # -- substitution / evaluation -------------------------------------------
 
@@ -182,29 +315,47 @@ class MultiPoly:
             target = next(iter(values.values())).ctx
         else:
             target = self.ctx
-        cache: Dict[str, MultiPoly] = {}
+        one = MultiPoly.one(target)
+        powers = []  # per source variable: [v^0, v^1, ...] as far as needed
         for name in self.ctx:
             if name in values:
                 v = values[name]
                 if v.ctx != target:
                     raise ContextError("substitution values live in different contexts")
-                cache[name] = v
             else:
-                cache[name] = MultiPoly.var(target, name)
-        out = MultiPoly.zero(target)
+                v = MultiPoly.var(target, name)
+            powers.append([one, v])
+        n = len(self.ctx)
+        images = []
         for e, c in self.terms.items():
-            term = MultiPoly.const(target, c)
-            for name, k in zip(self.ctx, e):
+            mono = one
+            for pw, k in zip(powers, _unpack(e, n)):
                 if k:
-                    term = term * cache[name] ** k
-            out = out + term
-        return out
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * pw[1])
+                    mono = pw[k] if mono is one else mono * pw[k]
+            images.append((c, mono))
+        # sum of c * mono over the least common denominator
+        den = lcm(*(mono.den for _, mono in images))
+        acc: dict = {}
+        get = acc.get
+        for (a, b), mono in images:
+            f = den // mono.den
+            if f != 1:
+                a, b = a * f, b * f
+            for e, (x, y) in mono.terms.items():
+                old = get(e)
+                re, im = a * x - b * y, a * y + b * x
+                acc[e] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        terms = {e: c for e, c in acc.items() if c[0] or c[1]}
+        return MultiPoly(target, terms, den * self.den)
 
     def evaluate(self, point: Mapping[str, complex]) -> complex:
         out = 0j
-        for e, c in self.terms.items():
-            v = c.to_complex()
-            for name, k in zip(self.ctx, e):
+        d, n = self.den, len(self.ctx)
+        for e, (a, b) in self.terms.items():
+            v = complex(a / d) + 1j * complex(b / d)
+            for name, k in zip(self.ctx, _unpack(e, n)):
                 if k:
                     v *= point[name] ** k
             out += v
@@ -215,40 +366,94 @@ class MultiPoly:
     def leading(self) -> Tuple[Exponents, CRational]:
         """Leading term under lexicographic order on exponent vectors."""
         e = max(self.terms)
-        return e, self.terms[e]
+        return _unpack(e, len(self.ctx)), _scalar(*self.terms[e], self.den)
 
     def try_div(self, d: "MultiPoly"):
         """Exact division ``self / d``: the quotient, or None if it fails.
 
-        Single-divisor reduction under lex order; returns a quotient q with
+        Single-divisor reduction under lex order, in place on a remainder
+        ``R / s`` with Gaussian-integer ``R``; returns a quotient q with
         q*d == self exactly, or None as soon as a leading term does not divide.
         """
         self._check(d)
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q_terms: Dict[Exponents, CRational] = {}
-        r = self
-        de, dc = d.leading()
-        while not r.is_zero():
-            re_, rc = r.leading()
-            diff = tuple(a - b for a, b in zip(re_, de))
-            if any(k < 0 for k in diff):
+        guard = _guard(len(self.ctx))
+        de = max(d.terms)
+        # most calls fail on the first leading term: test it before any copying
+        if self.terms and ((max(self.terms) | guard) - de) & guard != guard:
+            return None
+        la, lb = d.terms[de]
+        norm = la * la + lb * lb
+        rest = [(e, a, b) for e, (a, b) in d.terms.items() if e != de]
+        r = dict(self.terms)
+        s = 1
+        heap = [-e for e in r]
+        heapify(heap)
+        quotient = []  # (monomial, x, y, w): the term (x + y*i) / w
+        while heap:
+            e = -heappop(heap)
+            lead = r.pop(e, None)
+            if lead is None:
+                continue
+            if ((e | guard) - de) & guard != guard:
                 return None
-            coeff = rc / dc
-            q_terms[diff] = q_terms.get(diff, CR_ZERO) + coeff
-            r = r - MultiPoly(self.ctx, {diff: coeff}) * d
-        return MultiPoly(self.ctx, q_terms)
+            # (x + y*i) / w = lead / (s * lc(d)), reduced
+            x, y = lead
+            if lb:
+                x, y, w = x * la + y * lb, y * la - x * lb, s * norm
+            elif la > 0:
+                w = s * la
+            else:
+                x, y, w = -x, -y, -s * la
+            g = gcd(w, x, y)
+            if g != 1:
+                x, y, w = x // g, y // g, w // g
+            diff = e - de
+            quotient.append((diff, x, y, w))
+            if s % w:
+                f = w // gcd(s, w)
+                r = {k: (a * f, b * f) for k, (a, b) in r.items()}
+                s *= f
+            f = s // w
+            x, y = x * f, y * f
+            for ek, a, b in rest:
+                k = diff + ek
+                pa, pb = x * a - y * b, x * b + y * a
+                old = r.get(k)
+                if old is None:
+                    if k & guard:
+                        raise _overflow(self.ctx)
+                    r[k] = (-pa, -pb)
+                    heappush(heap, -k)
+                else:
+                    pa, pb = old[0] - pa, old[1] - pb
+                    if pa or pb:
+                        r[k] = (pa, pb)
+                    else:
+                        del r[k]
+        # self / d = (d.den / self.den) * sum of the quotient terms
+        m = lcm(*(w for *_, w in quotient))
+        f0 = d.den
+        terms = {k: (x * (m // w) * f0, y * (m // w) * f0) for k, x, y, w in quotient}
+        return MultiPoly(self.ctx, terms, m * self.den)
 
-    def monomial_gcd(self, other: "MultiPoly") -> Exponents:
-        """Componentwise min exponent over all terms of both polynomials."""
-        exps = list(self.terms) + list(other.terms)
-        return tuple(min(e[i] for e in exps) for i in range(len(self.ctx)))
+    def monomial_gcd(self, other: "MultiPoly") -> int:
+        """Packed monomial of the componentwise min exponent over all terms
+        of both polynomials (0 when they share no variable power)."""
+        if 0 in self.terms or 0 in other.terms:
+            return 0
+        guard = _guard(len(self.ctx))
+        mono = None
+        for e in (*self.terms, *other.terms):
+            mono = e if mono is None else _field_min(mono, e, guard)
+            if not mono:
+                return 0
+        return mono or 0
 
-    def shift_down(self, mono: Exponents) -> "MultiPoly":
-        return MultiPoly(
-            self.ctx,
-            {tuple(a - b for a, b in zip(e, mono)): c for e, c in self.terms.items()},
-        )
+    def shift_down(self, mono: int) -> "MultiPoly":
+        """Divide every term by the packed monomial ``mono`` from ``monomial_gcd``."""
+        return MultiPoly(self.ctx, {e - mono: c for e, c in self.terms.items()}, self.den)
 
     # -- comparison / display --------------------------------------------------
 
@@ -258,30 +463,38 @@ class MultiPoly:
                 other = self._coerce(other)
             except TypeError:
                 return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.ctx == other.ctx and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
+        return hash((self.ctx, self.den, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         """Canonical text: monomials sorted descending in lex order."""
         if self.is_zero():
             return "0"
         parts = []
+        n = len(self.ctx)
         for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+            c = _scalar(*self.terms[e], self.den)
             mono = "*".join(
-                (f"{n}^{k}" if k > 1 else n)
-                for n, k in zip(self.ctx, e)
+                (f"{v}^{k}" if k > 1 else v)
+                for v, k in zip(self.ctx, _unpack(e, n))
                 if k
             )
             cs = str(c)
             if "+" in cs[1:] or "-" in cs[1:]:
                 cs = f"({cs})"
-            parts.append(f"{cs}*{mono}" if mono and cs not in ("1",) else (mono or cs))
-            if cs == "1" and not mono:
-                parts[-1] = "1"
+            parts.append(f"{cs}*{mono}" if mono and cs != "1" else (mono or cs))
         return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def _shift(ctx: Context, name: str) -> int:
+    """Bit offset of the exponent field of ``name`` in a packed monomial."""
+    try:
+        i = ctx.index(name)
+    except ValueError:
+        raise ContextError(f"unknown variable {name!r} in context {ctx}") from None
+    return FIELD_BITS * (len(ctx) - 1 - i)

@@ -66,7 +66,7 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == MultiPoly.one(self.ctx)
+        return self.den.is_one()
 
     # -- field operations ------------------------------------------------------
 
@@ -143,8 +143,15 @@ class RationalFunction:
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self):
-        # normalization is canonical enough for hashing polynomials only
-        return hash((self.num, self.den))
+        # Equality is cross-multiplication, and the lex-leading term of a
+        # product is the product of the leading terms, so the leading
+        # monomial of num over that of den, and the ratio of their
+        # coefficients, are the same for equal values.
+        if self.num.is_zero():
+            return hash((self.ctx, 0))
+        ne, nc = self.num.leading()
+        de, dc = self.den.leading()
+        return hash((self.ctx, tuple(a - b for a, b in zip(ne, de)), nc / dc))
 
     def __str__(self) -> str:
         if self.is_polynomial():
@@ -162,7 +169,7 @@ def _normalize(num: MultiPoly, den: MultiPoly):
     if num.is_zero():
         return num, MultiPoly.one(num.ctx)
     mono = num.monomial_gcd(den)
-    if any(mono):
+    if mono:
         num = num.shift_down(mono)
         den = den.shift_down(mono)
     if not den.is_constant():
@@ -180,19 +187,3 @@ def _normalize(num: MultiPoly, den: MultiPoly):
         den = den.scale(inv)
     return num, den
 
-
-def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Exact field arithmetic dispatched on an operator symbol."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
-    return a == b

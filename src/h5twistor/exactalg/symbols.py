@@ -8,10 +8,8 @@ the zero test stays decidable.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from .crational import CRational, CR_ZERO
-from .poly import Context, Exponents, MultiPoly, make_context
+from .crational import CRational
+from .poly import Context, MultiPoly, make_context
 
 ZETA = "zeta"
 ZETA_INV = "zetai"
@@ -29,7 +27,7 @@ class SymbolPoly:
     def __init__(self, poly: MultiPoly):
         if ZETA not in poly.ctx or ZETA_INV not in poly.ctx:
             raise ValueError("symbol context must contain the zeta/zetai pair")
-        object.__setattr__(self, "poly", _rewrite(poly))
+        object.__setattr__(self, "poly", poly.cancel_inverse_pair(ZETA, ZETA_INV))
 
     def __setattr__(self, name, value):
         raise AttributeError("SymbolPoly is immutable")
@@ -83,22 +81,3 @@ class SymbolPoly:
         return str(self.poly)
 
     __repr__ = __str__
-
-
-def _rewrite(poly: MultiPoly) -> MultiPoly:
-    i = poly.ctx.index(ZETA)
-    j = poly.ctx.index(ZETA_INV)
-    terms: Dict[Exponents, CRational] = {}
-    for e, c in poly.terms.items():
-        m = min(e[i], e[j])
-        if m:
-            d = list(e)
-            d[i] -= m
-            d[j] -= m
-            e = tuple(d)
-        s = terms.get(e, CR_ZERO) + c
-        if s:
-            terms[e] = s
-        else:
-            terms.pop(e, None)
-    return MultiPoly(poly.ctx, terms)

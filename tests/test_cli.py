@@ -129,3 +129,15 @@ class TestAliases:
 
     def test_twistor_roundtrip(self):
         assert cli.main(["twistor", "roundtrip", "--samples", "5"]) == 0
+
+
+class TestRealCheck:
+    def test_named_check_runs_alone(self, capsys):
+        assert cli.main(["real", "check", "--suite", "contact-instanton"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [e["id"] for e in report["entries"]] == ["realslice.contact-instanton"]
+        assert report["entries"][0]["status"] == "exact-pass"
+
+    def test_unknown_check_is_a_json_error(self, capsys):
+        assert cli.main(["real", "check", "--suite", "bogus"]) == 2
+        assert "unknown real-slice check" in json.loads(capsys.readouterr().out)["error"]

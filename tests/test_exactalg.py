@@ -173,3 +173,41 @@ class TestSymbolPoly:
         zi = SymbolPoly.var(ctx, ZETA_INV)
         assert (z * zi - SymbolPoly.const(ctx, 1)).is_zero()
         assert z * z * zi == z
+
+
+def polys():
+    """Small polynomials in x, y with Gaussian-rational coefficients."""
+    term = st.tuples(st.integers(0, 2), st.integers(0, 2), crationals())
+    return st.lists(term, max_size=4).map(
+        lambda ts: sum(
+            (RationalFunction.const(CTX, c) * X**i * Y**j for i, j, c in ts),
+            RationalFunction.zero(CTX),
+        ).num
+    )
+
+
+class TestHashAgreesWithEq:
+    def test_cancelled_pair(self):
+        a = (X * X - Y * Y) / ((X - Y) * (X + 1))
+        b = (X + Y) / (X + 1)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @given(polys(), polys(), polys())
+    @settings(max_examples=50, deadline=None)
+    def test_multipoly(self, p, q, r):
+        a, b = (p + q) * r, p * r + q * r
+        assert a == b and hash(a) == hash(b)
+
+    @given(polys(), polys(), polys(), polys())
+    @settings(max_examples=50, deadline=None)
+    def test_rational_function(self, p, q, r, s):
+        if q.is_zero() or r.is_zero():
+            return
+        a = RationalFunction(p, q)
+        for b in (RationalFunction(p * r, q * r), a + RationalFunction(s) - RationalFunction(s)):
+            assert a == b and hash(a) == hash(b)
+        c = RationalFunction(s, r)
+        if a == c:
+            assert hash(a) == hash(c)

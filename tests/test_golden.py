@@ -1,0 +1,43 @@
+"""Byte stability of the CLI reports.
+
+``golden_outputs.json`` holds the ``h5 construct`` stdout for a few seeds
+(polynomial, rational-coefficient, Gaussian-coefficient, ``t`` and the
+instanton) and the sha256 of ``h5 verify --suite algebra --seed 2024``.  A
+change to the kernel must leave these bytes alone; a deliberate change to
+the printed form must regenerate the file and say why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from h5twistor import cli
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
+
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("phi", sorted(GOLDEN["construct"]))
+def test_construct_stdout(phi):
+    code, out = run(["construct", f"--phi={phi}"])
+    assert code == 0
+    assert out == GOLDEN["construct"][phi]
+
+
+def test_verify_algebra_sha256(monkeypatch):
+    # the report names the installed version; the golden bytes come from a
+    # source tree that is not installed, where the version reads 0.0.0
+    monkeypatch.setattr(cli, "VERSION", "0.0.0")
+    code, out = run(["verify", "--suite", "algebra", "--seed", "2024"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN["verify_algebra_2024_sha256"]

@@ -18,10 +18,7 @@ from .exactalg import (
     MatRF,
     MultiPoly,
     RationalFunction,
-    SymbolPoly,
-    ZETA,
-    ZETA_INV,
-    symbol_context,
+    make_context,
 )
 from .gauge import ConnectionForm
 from .heisenberg import (
@@ -34,7 +31,6 @@ from .heisenberg import (
     Y10,
     Y11,
     apply_field,
-    apply_field_poly,
     phi_inst,
     sub_laplacian,
 )
@@ -84,7 +80,7 @@ def log_derivative(field: FieldId, phi: RationalFunction) -> RationalFunction:
     """V(ln phi) = V(phi)/phi, assembled at the polynomial level to keep
     degrees low: for phi = n/d it is (V(n)d - nV(d)) / (nd)."""
     n, d = phi.num, phi.den
-    num = apply_field_poly(field, n) * d - n * apply_field_poly(field, d)
+    num = apply_field(field, n) * d - n * apply_field(field, d)
     return RationalFunction(num, n * d)
 
 
@@ -220,22 +216,18 @@ def gamma_recursion(seed: HarmonicSeed, depth: int) -> GammaChain:
 def birkhoff_identity_check() -> Tuple[bool, List[str]]:
     """Certify the triangular factorization of the transition matrix.
 
-    Works in the free symbol ring {zeta, zetai, phi, gp, gm} (gp and gm are
-    the positive and negative Laurent tails).  Checks, with square-root
-    prefactors cleared:
+    Works over rational functions in {zeta, phi, gp, gm} (gp and gm are the
+    positive and negative Laurent tails), with zetai = 1/zeta.  Checks, with
+    square-root prefactors cleared:
 
       * ftilde * G == f  for G = [[zeta, gm+phi+gp], [0, zetai]],
       * f * f_inv == phi * identity, and likewise for ftilde.
     """
-    ctx = symbol_context("phi", "gp", "gm")
-
-    def v(name):
-        return SymbolPoly.var(ctx, name)
-
-    zeta, zetai = v(ZETA), v(ZETA_INV)
-    phi, gp, gm = v("phi"), v("gp"), v("gm")
-    one = SymbolPoly.const(ctx, 1)
-    zero = SymbolPoly.const(ctx, 0)
+    ctx = make_context("zeta", "phi", "gp", "gm")
+    zeta, phi, gp, gm = (RationalFunction.var(ctx, n) for n in ctx)
+    zetai = 1 / zeta
+    one = RationalFunction.one(ctx)
+    zero = RationalFunction.zero(ctx)
     gamma = gm + phi + gp
 
     G = ((zeta, gamma), (zero, zetai))

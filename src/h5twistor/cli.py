@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -36,7 +37,11 @@ except Exception:  # pragma: no cover
 # -- expression micro-grammar ----------------------------------------------------
 
 
-class ExprError(ValueError):
+class UsageError(ValueError):
+    """Bad command-line input: a JSON error with exit code 2."""
+
+
+class ExprError(UsageError):
     pass
 
 
@@ -223,20 +228,17 @@ def _suite_algebra(seed: int) -> List[Check]:
         m = MatRF([[a, one], [one, zero]])
         return _exact(m @ m.inverse() == MatRF.identity(2, ctx))
 
-    def symbol_rewrite():
-        from .exactalg import SymbolPoly, symbol_context, ZETA, ZETA_INV
-
-        sctx = symbol_context()
-        z = SymbolPoly.var(sctx, ZETA)
-        zi = SymbolPoly.var(sctx, ZETA_INV)
-        return _exact((z * zi - SymbolPoly.const(sctx, 1)).is_zero())
+    def loop_inverse():
+        z = RationalFunction.var(make_context("zeta"), "zeta")
+        zi = 1 / z
+        return _exact((z * zi - 1).is_zero())
 
     return [
         ("algebra.complex-field", field_axioms),
         ("algebra.poly-binomial", poly_ring),
         ("algebra.rational-cancel", rational_eq),
         ("algebra.matrix-inverse", matrix_inverse),
-        ("algebra.loop-symbol", symbol_rewrite),
+        ("algebra.loop-symbol", loop_inverse),
     ]
 
 
@@ -349,14 +351,24 @@ def _suite_gauge(seed: int) -> List[Check]:
         return _exact(r1[0, 0] == RationalFunction.const(CTX5, -1))
 
     def flatness_pencil():
-        conn = _nonasd_example()
-        lau = gauge.zeta_flatness(conn)
-        r1, r2, r3 = gauge.asd_residuals(conn)
-        zero = MatRF.zeros(1, 1, CTX5)
+        # rank 1 with R1 = -1, R2 = 1, R3 = -1, so every coefficient is pinned
+        def entry(name):
+            return MatRF([[RationalFunction.var(CTX5, name)]])
 
-        def coeff(k):
-            c = lau[k]
-            return zero if c is None else c
+        zero = MatRF.zeros(1, 1, CTX5)
+        conn = gauge.ConnectionForm(
+            phi00=entry("y10p"), phi10=zero, phi01=entry("y11p"), phi11=entry("y00p")
+        )
+        r1, r2, r3 = gauge.asd_residuals(conn)
+        pencil = gauge.zeta_flatness(conn)
+        at_zero = {n: MultiPoly.var(CTX5, n) for n in CTX5}
+        at_zero["zeta"] = MultiPoly.zero(CTX5)
+
+        def coeff(k):  # the zeta^k coefficient: d^k/dzeta^k at zeta = 0, over k!
+            m = pencil
+            for _ in range(k):
+                m = m.map(lambda e: e.derivative("zeta"))
+            return m.map(lambda e: e.substitute(at_zero) / math.factorial(k))
 
         return _exact(coeff(2) == r1 and coeff(1) == -r2 and coeff(0) == r3)
 
@@ -428,12 +440,12 @@ def _suite_ansatz(seed: int) -> List[Check]:
     ]
 
 
-def _suite_twistor(seed: int) -> List[Check]:
+def _suite_twistor(seed: int, samples: int = 20) -> List[Check]:
     import random
 
     def roundtrip_samples():
         rng = random.Random(seed)
-        for _ in range(20):
+        for _ in range(samples):
             p = twistor.TwistorPoint(
                 twistor.CHART_W,
                 *(_rand_crational(rng) for _ in range(3)),
@@ -543,19 +555,21 @@ SUITES: Dict[str, Callable[[int], List[Check]]] = {
 }
 
 
-def run_suite(name: str, seed: int, only: str | None = None) -> dict:
-    """Run a suite (or ``all``); ``only`` keeps the one check with that id."""
+def run_suite(name: str, seed: int) -> dict:
+    """Run a suite, or ``all`` of them."""
     names = sorted(SUITES) if name == "all" else [name]
+    return run_checks(name, seed, [c for n in names for c in SUITES[n](seed)])
+
+
+def run_checks(name: str, seed: int, checks: List[Check]) -> dict:
+    """The report of the given checks under the suite name ``name``."""
     entries = []
-    for n in names:
-        for check_id, fn in SUITES[n](seed):
-            if only is not None and check_id != only:
-                continue
-            try:
-                status, detail = fn()
-            except Exception as exc:  # surface, don't crash the report
-                status, detail = "fail", f"{type(exc).__name__}: {exc}"
-            entries.append({"id": check_id, "status": status, "detail": detail})
+    for check_id, fn in checks:
+        try:
+            status, detail = fn()
+        except Exception as exc:  # surface, don't crash the report
+            status, detail = "fail", f"{type(exc).__name__}: {exc}"
+        entries.append({"id": check_id, "status": status, "detail": detail})
     entries.sort(key=lambda e: e["id"])
     report = {
         "schema": 1,
@@ -594,22 +608,23 @@ def _matrix_to_json(m: MatRF) -> List[List[str]]:
     return [[str(e) for e in row] for row in m.entries]
 
 
-def cmd_construct(args) -> int:
+def _parse_phit(text: str) -> MatRF | None:
+    """``zero`` or a JSON 2x2 matrix of expressions."""
+    if not text or text == "zero":
+        return None
     try:
-        seed = parse_seed(args.phi)
-    except ansatz.AnsatzError as exc:
-        print(json.dumps({"schema": 1, "error": str(exc)}))
-        return 1
-    except ExprError as exc:
-        print(json.dumps({"schema": 1, "error": f"bad expression: {exc}"}))
-        return 2
-    phi_t = None
-    if args.phit and args.phit != "zero":
-        rows = json.loads(args.phit)
-        phi_t = MatRF(
-            [[parse_expression(e, CTX5) for e in row] for row in rows]
-        )
-    conn = ansatz.build_connection(seed, phi_t=phi_t)
+        rows = json.loads(text)
+    except ValueError as exc:
+        raise UsageError(f"bad --phit: {exc}") from None
+    shape = [len(r) if isinstance(r, list) else 0 for r in rows] if isinstance(rows, list) else []
+    if shape != [2, 2]:
+        raise UsageError("bad --phit: expected a 2x2 JSON matrix of expressions")
+    return MatRF([[parse_expression(str(e), CTX5) for e in row] for row in rows])
+
+
+def cmd_construct(args) -> int:
+    seed = parse_seed(args.phi)
+    conn = ansatz.build_connection(seed, phi_t=_parse_phit(args.phit))
     r1, r2, r3 = gauge.asd_residuals(conn)
     payload = {
         "schema": 1,
@@ -629,7 +644,17 @@ def cmd_construct(args) -> int:
 
 
 def _parse_point(text: str) -> GroupPoint:
-    return GroupPoint.from_json(text)
+    try:
+        return GroupPoint.from_json(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"bad --point: {type(exc).__name__}: {exc}") from None
+
+
+def _parse_zeta(text: str) -> CRational:
+    try:
+        return CRational.parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad --zeta: {exc}") from None
 
 
 def _num(z: complex) -> List[float]:
@@ -644,8 +669,7 @@ def cmd_eval(args) -> int:
     }
     payload: dict = {"schema": 1, "object": args.object}
     if args.object == "eta":
-        z = CRational.parse(args.zeta)
-        p = twistor.eta(point, z)
+        p = twistor.eta(point, _parse_zeta(args.zeta))
         payload["value"] = json.loads(p.to_json())
         _emit(payload, args.out)
         return 0
@@ -677,21 +701,25 @@ def cmd_eval(args) -> int:
                 for m in fh
             ]
     except ZeroDivisionError:
-        print(json.dumps({"schema": 1, "error": "singular locus at sample point"}))
-        return 1
+        return _error("singular locus at sample point", 1)
     _emit(payload, args.out)
     return 0
 
 
 def cmd_real_check(args) -> int:
-    only = None if args.check is None else f"realslice.{args.check}"
-    ids = [check_id for check_id, _ in _suite_realslice(args.seed)]
-    if only is not None and only not in ids:
-        names = ", ".join(i.split(".", 1)[1] for i in ids)
-        error = f"unknown real-slice check {args.check!r}; choose from {names}"
-        print(json.dumps({"schema": 1, "error": error}))
-        return 2
-    return _finish(run_suite("realslice", args.seed, only), args.out)
+    checks = _suite_realslice(args.seed)
+    if args.check is not None:
+        only = f"realslice.{args.check}"
+        if only not in [check_id for check_id, _ in checks]:
+            names = ", ".join(check_id.split(".", 1)[1] for check_id, _ in checks)
+            raise UsageError(f"unknown real-slice check {args.check!r}; choose from {names}")
+        checks = [c for c in checks if c[0] == only]
+    return _finish(run_checks("realslice", args.seed, checks), args.out)
+
+
+def cmd_twistor_roundtrip(args) -> int:
+    checks = _suite_twistor(args.seed, args.samples)
+    return _finish(run_checks("twistor", args.seed, checks), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -740,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument("--samples", type=int, default=20)
     p_rt.add_argument("--seed", type=int, default=2024)
     p_rt.add_argument("--out", default=None)
-    p_rt.set_defaults(fn=cmd_verify, suite="twistor")
+    p_rt.set_defaults(fn=cmd_twistor_roundtrip)
 
     p_real = sub.add_parser("real", help="real-slice checks")
     real_sub = p_real.add_subparsers(dest="real_command", required=True)
@@ -763,9 +791,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _error(message: str, code: int) -> int:
+    print(json.dumps({"schema": 1, "error": message}))
+    return code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ansatz.AnsatzError as exc:  # e.g. a seed that is not harmonic
+        return _error(str(exc), 1)
+    except ExprError as exc:
+        return _error(f"bad expression: {exc}", 2)
+    except UsageError as exc:
+        return _error(str(exc), 2)
 
 
 if __name__ == "__main__":

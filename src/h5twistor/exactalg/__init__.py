@@ -1,13 +1,10 @@
 """Exact computer-algebra kernel: complex rationals, multivariate
-polynomials and rational functions, matrices, Laurent objects, and the
-loop-parameter symbol ring."""
+polynomials and rational functions, and matrices over them."""
 
 from .crational import CR_I, CR_ONE, CR_ZERO, CRational
-from .laurent import ZetaLaurent
 from .matrix import MatRF, SingularMatrixError
 from .poly import Context, ContextError, MultiPoly, make_context
 from .rational import RationalFunction
-from .symbols import ZETA, ZETA_INV, SymbolPoly, symbol_context
 
 __all__ = [
     "CRational",
@@ -21,9 +18,4 @@ __all__ = [
     "RationalFunction",
     "MatRF",
     "SingularMatrixError",
-    "ZetaLaurent",
-    "SymbolPoly",
-    "symbol_context",
-    "ZETA",
-    "ZETA_INV",
 ]

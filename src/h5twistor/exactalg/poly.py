@@ -290,19 +290,6 @@ class MultiPoly:
             terms[e + unit] = (a * f, b * f)
         return MultiPoly(self.ctx, terms, self.den * m)
 
-    def cancel_inverse_pair(self, name: str, inverse: str) -> "MultiPoly":
-        """Apply the relation ``name * inverse = 1``: every monomial loses the
-        common power of the two variables."""
-        s, t = _shift(self.ctx, name), _shift(self.ctx, inverse)
-        terms: dict = {}
-        for e, (a, b) in self.terms.items():
-            m = min((e >> s) & _FIELD, (e >> t) & _FIELD)
-            e -= (m << s) + (m << t)
-            old = terms.get(e)
-            terms[e] = (a, b) if old is None else (old[0] + a, old[1] + b)
-        terms = {e: c for e, c in terms.items() if c[0] or c[1]}
-        return MultiPoly(self.ctx, terms, self.den)
-
     # -- substitution / evaluation -------------------------------------------
 
     def substitute(self, values: Mapping[str, "MultiPoly"]) -> "MultiPoly":

@@ -9,9 +9,9 @@ into a quadratic pencil in the loop parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Callable, Dict, Tuple
 
-from .exactalg import Context, MatRF, RationalFunction, ZetaLaurent
+from .exactalg import Context, MatRF, MultiPoly, RationalFunction, make_context
 from .heisenberg import FieldId, apply_field, bracket_table
 
 HORIZONTAL = (FieldId.V00, FieldId.V10, FieldId.V01, FieldId.V11)
@@ -51,14 +51,25 @@ class ConnectionForm:
         return {f: self.block(f) for f in FieldId}
 
 
-def _apply_field_mat(field: FieldId, m: MatRF) -> MatRF:
-    return m.map(lambda e: apply_field(field, e))
+def _apply_field_mat(op: Callable, field: FieldId, m: MatRF) -> MatRF:
+    return m.map(lambda e: op(field, e))
 
 
-def curvature(conn: ConnectionForm, a: FieldId, b: FieldId) -> MatRF:
-    """F(a, b) = a(Phi_b) - b(Phi_a) - Phi_[a,b] + [Phi_a, Phi_b]."""
+def curvature(
+    conn: ConnectionForm,
+    a: FieldId,
+    b: FieldId,
+    field_op: Callable[[FieldId, RationalFunction], RationalFunction] | None = None,
+) -> MatRF:
+    """F(a, b) = a(Phi_b) - b(Phi_a) - Phi_[a,b] + [Phi_a, Phi_b].
+
+    ``field_op(field, f)`` applies a left-invariant field to one entry:
+    ``apply_field`` on the complex group when None, ``real_field`` on the
+    real slice.
+    """
+    op = apply_field if field_op is None else field_op
     pa, pb = conn.block(a), conn.block(b)
-    out = _apply_field_mat(a, pb) - _apply_field_mat(b, pa) + pa.commutator(pb)
+    out = _apply_field_mat(op, a, pb) - _apply_field_mat(op, b, pa) + pa.commutator(pb)
     k = bracket_table(a, b)
     if k:
         pt = conn.block(FieldId.T)
@@ -88,14 +99,19 @@ def is_asd(conn: ConnectionForm) -> bool:
     return all(r.is_zero() for r in asd_residuals(conn))
 
 
-def zeta_flatness(conn: ConnectionForm) -> ZetaLaurent:
-    """The quadratic pencil zeta^2*R1 - zeta*R2 + R3.
+def zeta_flatness(conn: ConnectionForm) -> MatRF:
+    """The quadratic pencil zeta^2*R1 - zeta*R2 + R3, over the connection's
+    context extended by the loop parameter ``zeta``.
 
-    The connection is anti-self-dual iff this vanishes identically in the
-    loop parameter, i.e. iff all three Laurent coefficients are zero.
+    The connection is anti-self-dual iff this vanishes identically in zeta,
+    i.e. iff all three coefficients are zero.
     """
-    r1, r2, r3 = asd_residuals(conn)
-    return ZetaLaurent({2: r1, 1: -r2, 0: r3})
+    ctx = conn.ctx
+    ext = make_context(*ctx, "zeta")
+    lift = {n: MultiPoly.var(ext, n) for n in ctx}
+    zeta = RationalFunction.var(ext, "zeta")
+    r1, r2, r3 = (r.map(lambda e: e.substitute(lift)) for r in asd_residuals(conn))
+    return r1.scale(zeta * zeta) - r2.scale(zeta) + r3
 
 
 def gauge_transform(conn: ConnectionForm, g: MatRF) -> ConnectionForm:
@@ -104,7 +120,7 @@ def gauge_transform(conn: ConnectionForm, g: MatRF) -> ConnectionForm:
     ginv = g.inverse()
 
     def tr(field: FieldId, block: MatRF) -> MatRF:
-        return ginv @ block @ g + ginv @ _apply_field_mat(field, g)
+        return ginv @ block @ g + ginv @ _apply_field_mat(apply_field, field, g)
 
     return ConnectionForm(
         phi00=tr(FieldId.V00, conn.phi00),

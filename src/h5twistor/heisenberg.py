@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping
+from typing import Dict
 
 from .exactalg import (
     Context,
@@ -93,8 +93,9 @@ class FieldId(Enum):
     T = TVAR
 
 
-# d/dt coefficient of each horizontal field: V_AA' = d/dy_AA' + c * d/dt
-_T_COEFF = {
+# The one table of the left-invariant fields: V_AA' = d/dy_AA' + c * d/dt
+# with c = sign * coordinate, and T = d/dt.
+T_COEFF = {
     FieldId.V00: (Y11, -1),
     FieldId.V01: (Y10, +1),
     FieldId.V10: (Y01, -1),
@@ -102,11 +103,14 @@ _T_COEFF = {
 }
 
 
-def apply_field(field: FieldId, f: RationalFunction) -> RationalFunction:
-    """Apply a left-invariant vector field to a rational function.
+def apply_field(
+    field: FieldId, f: MultiPoly | RationalFunction
+) -> MultiPoly | RationalFunction:
+    """Apply a left-invariant vector field to a MultiPoly or a RationalFunction.
 
     Works in any context containing the five group coordinates, so symbolic
-    parameters (loop parameter, free coefficients) ride along untouched.
+    parameters (loop parameter, free coefficients) ride along untouched; the
+    d/dt coefficients are polynomial, so polynomials map to polynomials.
     """
     ctx = f.ctx
     for name in COMPLEX_VARS:
@@ -114,25 +118,12 @@ def apply_field(field: FieldId, f: RationalFunction) -> RationalFunction:
             raise ContextError(f"context {ctx} lacks group coordinate {name!r}")
     if field is FieldId.T:
         return f.derivative(TVAR)
-    coord_name, sign = _T_COEFF[field]
-    coeff = RationalFunction.var(ctx, coord_name)
+    coord_name, sign = T_COEFF[field]
+    coeff = type(f).var(ctx, coord_name)
     base = f.derivative(field.value)
     if sign > 0:
         return base + coeff * f.derivative(TVAR)
     return base - coeff * f.derivative(TVAR)
-
-
-def apply_field_poly(field: FieldId, p: MultiPoly) -> MultiPoly:
-    """Polynomial-level version of apply_field (fields map polynomials to
-    polynomials since the d/dt coefficients are polynomial)."""
-    if field is FieldId.T:
-        return p.derivative(TVAR)
-    coord_name, sign = _T_COEFF[field]
-    coeff = MultiPoly.var(p.ctx, coord_name)
-    base = p.derivative(field.value)
-    if sign > 0:
-        return base + coeff * p.derivative(TVAR)
-    return base - coeff * p.derivative(TVAR)
 
 
 def bracket_table(a: FieldId, b: FieldId) -> int:
@@ -150,55 +141,6 @@ def sub_laplacian(f: RationalFunction) -> RationalFunction:
     """V00 V11 - V10 V01 applied exactly."""
     return apply_field(FieldId.V00, apply_field(FieldId.V11, f)) - apply_field(
         FieldId.V10, apply_field(FieldId.V01, f)
-    )
-
-
-@dataclass(frozen=True)
-class HorizontalOneForm:
-    """Coefficients in the left-invariant coframe theta^AA'."""
-
-    c00: RationalFunction
-    c10: RationalFunction
-    c01: RationalFunction
-    c11: RationalFunction
-
-    @staticmethod
-    def zero(ctx: Context) -> "HorizontalOneForm":
-        z = RationalFunction.zero(ctx)
-        return HorizontalOneForm(z, z, z, z)
-
-    def __add__(self, other: "HorizontalOneForm") -> "HorizontalOneForm":
-        return HorizontalOneForm(
-            self.c00 + other.c00,
-            self.c10 + other.c10,
-            self.c01 + other.c01,
-            self.c11 + other.c11,
-        )
-
-    def __neg__(self):
-        return HorizontalOneForm(-self.c00, -self.c10, -self.c01, -self.c11)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in (self.c00, self.c10, self.c01, self.c11))
-
-
-def d0(f: RationalFunction) -> HorizontalOneForm:
-    """Partial exterior differential along the unprimed-0' directions."""
-    ctx = f.ctx
-    z = RationalFunction.zero(ctx)
-    return HorizontalOneForm(
-        apply_field(FieldId.V00, f), apply_field(FieldId.V10, f), z, z
-    )
-
-
-def d1(f: RationalFunction) -> HorizontalOneForm:
-    ctx = f.ctx
-    z = RationalFunction.zero(ctx)
-    return HorizontalOneForm(
-        z, z, apply_field(FieldId.V01, f), apply_field(FieldId.V11, f)
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .exactalg import RationalFunction
-from .heisenberg import COMPLEX_VARS, FieldId, TVAR, apply_field, _T_COEFF
+from .heisenberg import COMPLEX_VARS, T_COEFF, TVAR, FieldId, apply_field
 
 
 class NearSingularError(ValueError):
@@ -82,7 +82,7 @@ def fd_field_value(
     are complex-analytic, so a real step per complex coordinate suffices)."""
     if fid is FieldId.T:
         return _fd_partial(f, point, TVAR, h)
-    coord, sign = _T_COEFF[fid]
+    coord, sign = T_COEFF[fid]
     out = _fd_partial(f, point, fid.value, h)
     return out + sign * point[coord] * _fd_partial(f, point, TVAR, h)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .exactalg import (
@@ -27,8 +28,8 @@ from .exactalg import (
     RationalFunction,
     make_context,
 )
-from .gauge import ConnectionForm
-from .heisenberg import COMPLEX_VARS, FieldId, GroupPoint, TVAR, Y00, Y01, Y10, Y11
+from .gauge import HORIZONTAL, ConnectionForm, curvature
+from .heisenberg import COMPLEX_VARS, T_COEFF, TVAR, FieldId, GroupPoint, Y00, Y01, Y10, Y11
 
 RVARS = ("y1", "y2", "y3", "y4", "s")
 RCTX: Context = make_context(*RVARS)
@@ -102,8 +103,7 @@ def pullback(f: RationalFunction, target: Context = RCTX) -> RationalFunction:
 
 # -- real left-invariant fields ------------------------------------------------
 
-# each field is a list of (coefficient, coordinate) pairs; the coefficient
-# is either a constant or a polynomial factory evaluated in the context
+
 def _rf(ctx, name):
     return RationalFunction.var(ctx, name)
 
@@ -112,29 +112,43 @@ def _const(ctx, c):
     return RationalFunction.const(ctx, CRational.coerce(c))
 
 
+@lru_cache(maxsize=None)
+def _real_field_table(ctx: Context) -> Dict[FieldId, Tuple[Tuple[str, RationalFunction], ...]]:
+    """Each complex field of ``heisenberg.T_COEFF``, pushed through the
+    embedding: the nonzero (real coordinate, coefficient) pairs.
+
+    The embedding z = J x is linear, so by the chain rule
+    d/dz_k = sum_j (J^-1)_jk d/dx_j on pulled-back functions, and the field
+    sum_k c_k d/dz_k has the real coefficients sum_k pullback(c_k) (J^-1)_jk.
+    """
+    sub = embed_substitution(ctx)
+    jinv = MatRF(
+        [[RationalFunction(sub[z].derivative(x)) for x in RVARS] for z in COMPLEX_VARS]
+    ).inverse()
+    t = COMPLEX_VARS.index(TVAR)
+    table = {}
+    for field in FieldId:
+        # the field is d/dz_k + ct * d/dt, with z_k its own coordinate
+        k = COMPLEX_VARS.index(field.value)
+        if field is FieldId.T:
+            ct = RationalFunction.zero(ctx)
+        else:
+            coord, sign = T_COEFF[field]
+            ct = RationalFunction(sub[coord].scale(sign))
+        coeffs = ((x, jinv[j, k] + ct * jinv[j, t]) for j, x in enumerate(RVARS))
+        table[field] = tuple((x, c) for x, c in coeffs if not c.is_zero())
+    return table
+
+
 def real_field(field: FieldId, f: RationalFunction) -> RationalFunction:
-    """The complex left-invariant fields restricted to the real slice."""
+    """The complex left-invariant fields restricted to the real slice,
+    derived from the complex field table through the embedding."""
     ctx = f.ctx
     for name in RVARS:
         if name not in ctx:
             raise RealSliceError(f"context {ctx} lacks real coordinate {name!r}")
-    i = CR_I
-    y1, y2, y3, y4 = (_rf(ctx, n) for n in ("y1", "y2", "y3", "y4"))
-    half = _const(ctx, HALF)
-    ihalf = _const(ctx, HALF * i)
-    if field is FieldId.T:
-        return f.derivative("s") * _const(ctx, i)
-    d1, d2, d3, d4 = (f.derivative(n) for n in ("y1", "y2", "y3", "y4"))
-    ds = f.derivative("s")
-    if field is FieldId.V00:
-        return half * d1 - ihalf * d2 - _const(ctx, i) * (y1 - _const(ctx, i) * y2) * ds
-    if field is FieldId.V01:
-        return -(half * d3) - ihalf * d4 + _const(ctx, i) * (y3 + _const(ctx, i) * y4) * ds
-    if field is FieldId.V10:
-        return half * d3 - ihalf * d4 + _const(ctx, i) * (y3 - _const(ctx, i) * y4) * ds
-    if field is FieldId.V11:
-        return half * d1 + ihalf * d2 + _const(ctx, i) * (y1 + _const(ctx, i) * y2) * ds
-    raise RealSliceError(f"unknown field {field}")
+    terms = [c * f.derivative(x) for x, c in _real_field_table(ctx)[field]]
+    return sum(terms[1:], terms[0])
 
 
 def x_field(k: int, f: RationalFunction) -> RationalFunction:
@@ -434,98 +448,33 @@ def full_split(omega: RealForm) -> SplitForm:
 # -- curvature on the real slice -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RealConnection:
-    """Connection blocks with coefficients in the real coordinates."""
-
-    phi00: MatRF
-    phi10: MatRF
-    phi01: MatRF
-    phi11: MatRF
-    phi_t: MatRF
-
-    @property
-    def rank(self) -> int:
-        return self.phi00.rows
-
-    @property
-    def ctx(self) -> Context:
-        return self.phi00.ctx
-
-    def block(self, field: FieldId) -> MatRF:
-        return {
-            FieldId.V00: self.phi00,
-            FieldId.V10: self.phi10,
-            FieldId.V01: self.phi01,
-            FieldId.V11: self.phi11,
-            FieldId.T: self.phi_t,
-        }[field]
-
-
-def pullback_connection(conn: ConnectionForm, target: Context = RCTX) -> RealConnection:
+def pullback_connection(conn: ConnectionForm, target: Context = RCTX) -> ConnectionForm:
+    """The connection restricted to the real slice, with phi_t set."""
     sub = embed_substitution(target)
 
     def pb(m: MatRF) -> MatRF:
         return m.map(lambda e: e.substitute(sub))
 
-    phi_t = conn.block(FieldId.T)
-    return RealConnection(
-        pb(conn.phi00), pb(conn.phi10), pb(conn.phi01), pb(conn.phi11), pb(phi_t)
+    return ConnectionForm(
+        phi00=pb(conn.phi00),
+        phi10=pb(conn.phi10),
+        phi01=pb(conn.phi01),
+        phi11=pb(conn.phi11),
+        phi_t=pb(conn.block(FieldId.T)),
     )
 
 
-def _rfield_mat(field: FieldId, m: MatRF) -> MatRF:
-    return m.map(lambda e: real_field(field, e))
-
-
-def fh_plus_coefficients(rc: RealConnection) -> Tuple[MatRF, MatRF, MatRF]:
-    """Coefficients of the self-dual horizontal curvature in the basis
-    (S^{0'0'}, S^{0'1'}, S^{1'1'}); these are the pulled-back residuals
-    (R1, R2/2, R3)."""
-    half = RationalFunction.const(rc.ctx, HALF)
-    c00 = (
-        _rfield_mat(FieldId.V00, rc.phi10)
-        - _rfield_mat(FieldId.V10, rc.phi00)
-        + rc.phi00.commutator(rc.phi10)
-    )
-    c11 = (
-        _rfield_mat(FieldId.V01, rc.phi11)
-        - _rfield_mat(FieldId.V11, rc.phi01)
-        + rc.phi01.commutator(rc.phi11)
-    )
-    mid = (
-        _rfield_mat(FieldId.V00, rc.phi11)
-        - _rfield_mat(FieldId.V11, rc.phi00)
-        + rc.phi00.commutator(rc.phi11)
-        + _rfield_mat(FieldId.V01, rc.phi10)
-        - _rfield_mat(FieldId.V10, rc.phi01)
-        + rc.phi01.commutator(rc.phi10)
-    )
-    return c00, mid.scale(half), c11
-
-
-def fv_coefficients(rc: RealConnection) -> Dict[FieldId, MatRF]:
-    """Coefficients of the vertical curvature on theta^{AB'} wedge theta."""
-    out = {}
-    for f in (FieldId.V00, FieldId.V10, FieldId.V01, FieldId.V11):
-        out[f] = (
-            _rfield_mat(f, rc.phi_t)
-            - _rfield_mat(FieldId.T, rc.block(f))
-            + rc.block(f).commutator(rc.phi_t)
-        )
-    return out
-
-
-def curvature_two_form(rc: RealConnection) -> List[List[RealForm]]:
+def curvature_two_form(rc: ConnectionForm) -> List[List[RealForm]]:
     """The full curvature F = d Phi + Phi ^ Phi, entrywise as two-forms."""
     th = coframe(rc.ctx)
     keys = (("00p", rc.phi00), ("10p", rc.phi10), ("01p", rc.phi01), ("11p", rc.phi11))
+    phi_t = rc.block(FieldId.T)
     n = rc.rank
     phi = [
         [
             sum(
                 (th[k].scale(m[i, j]) for k, m in keys),
-                th["theta"].scale(rc.phi_t[i, j]),
+                th["theta"].scale(phi_t[i, j]),
             )
             for j in range(n)
         ]
@@ -575,12 +524,27 @@ def expand_in_s_basis(omega_h: RealForm) -> Dict[str, RationalFunction]:
     return out
 
 
-def real_curvature_split(rc: RealConnection):
-    """Formula-path decomposition: (F_H^+ S-coefficients, F_V coefficients)."""
-    return fh_plus_coefficients(rc), fv_coefficients(rc)
+def real_curvature_split(rc: ConnectionForm):
+    """Formula-path decomposition of a pulled-back connection's curvature,
+    computed with the real fields.
+
+    Returns (F_H^+, F_V): the self-dual horizontal coefficients in the basis
+    (S^{0'0'}, S^{0'1'}, S^{1'1'}), which are the pulled-back residuals
+    (R1, R2/2, R3), and the vertical coefficients {f: F(f, T)} on
+    theta^{AB'} wedge theta.
+    """
+
+    def F(a: FieldId, b: FieldId) -> MatRF:
+        return curvature(rc, a, b, real_field)
+
+    half = RationalFunction.const(rc.ctx, HALF)
+    mid = F(FieldId.V00, FieldId.V11) + F(FieldId.V01, FieldId.V10)
+    fh = (F(FieldId.V00, FieldId.V10), mid.scale(half), F(FieldId.V01, FieldId.V11))
+    fv = {f: F(f, FieldId.T) for f in HORIZONTAL}
+    return fh, fv
 
 
-def real_curvature_split_projector(rc: RealConnection) -> Tuple[MatRF, MatRF, MatRF]:
+def real_curvature_split_projector(rc: ConnectionForm) -> Tuple[MatRF, MatRF, MatRF]:
     """Projector-path F_H^+: split the full curvature two-form entrywise and
     expand the self-dual horizontal part in the S-basis."""
     n = rc.rank

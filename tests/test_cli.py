@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from h5twistor import cli
+from h5twistor import cli, twistor
 from h5twistor.exactalg import CRational, RationalFunction
 from h5twistor.heisenberg import CTX5
 
@@ -123,12 +123,67 @@ class TestEval:
         assert "singular" in err["error"]
 
 
+    def test_fhplus_instanton_vanishes(self, capsys):
+        assert cli.main(["eval", "--object", "fhplus", "--phi", "inst"]) == 0
+        val = json.loads(capsys.readouterr().out)["value"]
+        assert val == [[[[0.0, 0.0]] * 2] * 2] * 3
+
+
+BAD_INPUT = [
+    (["eval", "--object", "connection", "--phi", "y00p +"], 2),
+    (["eval", "--object", "eta", "--point", "{bad"], 2),
+    (["eval", "--object", "eta", "--point", "{}"], 2),
+    (["eval", "--object", "eta", "--zeta", "abc"], 2),
+    (["construct", "--phi", "t", "--phit", '[["t+", "0"], ["0", "0"]]'], 2),
+    (["construct", "--phi", "t", "--phit", '[["t"]]'], 2),
+    (["construct", "--phi", "t", "--phit", "[["], 2),
+    (["construct", "--phi", "y00p +"], 2),
+    (["eval", "--object", "connection", "--phi", "y00p*y11p"], 1),
+    (["eval", "--object", "fhplus", "--phi", "y00p*y11p"], 1),
+    (["construct", "--phi", "y00p*y11p"], 1),
+    (["real", "check", "--suite", "bogus"], 2),
+]
+
+
+class TestBadInput:
+    """Bad input ends in a JSON error, never a traceback: exit 2 for input
+    that does not parse, exit 1 for a seed that is not harmonic."""
+
+    @pytest.mark.parametrize(
+        "argv, code", BAD_INPUT, ids=[" ".join(argv) for argv, _ in BAD_INPUT]
+    )
+    def test_json_error(self, capsys, argv, code):
+        assert cli.main(argv) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == 1 and payload["error"]
+
+
 class TestAliases:
     def test_so6_verify_all(self):
         assert cli.main(["so6", "verify-all"]) == 0
 
     def test_twistor_roundtrip(self):
         assert cli.main(["twistor", "roundtrip", "--samples", "5"]) == 0
+
+    def test_twistor_roundtrip_samples(self, monkeypatch, capsys):
+        calls = []
+        original = twistor.alpha_plane_point
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(twistor, "alpha_plane_point", counting)
+
+        def count(*extra):
+            calls.clear()
+            assert cli.main(["twistor", "roundtrip", *extra]) == 0
+            return len(calls)
+
+        # the other twistor certificates call it too, once in all
+        base = count("--samples", "0")
+        assert count("--samples", "3") == base + 3
+        assert count() == base + 20
 
 
 class TestRealCheck:

@@ -13,12 +13,7 @@ from h5twistor.exactalg import (
     MultiPoly,
     RationalFunction,
     SingularMatrixError,
-    SymbolPoly,
-    ZETA,
-    ZETA_INV,
-    ZetaLaurent,
     make_context,
-    symbol_context,
 )
 
 CTX = make_context("x", "y")
@@ -152,27 +147,37 @@ class TestMatRF:
         assert c[0, 0] + c[1, 1] == zero
 
 
-class TestZetaLaurent:
-    def test_split(self):
-        lau = ZetaLaurent({2: X, 0: Y, -1: X * Y})
-        neg, const, pos = lau.split()
-        assert set(pos.coeffs) == {2}
-        assert const == Y
-        assert set(neg.coeffs) == {-1}
+class TestLoopParameter:
+    """The loop parameter is a ``zeta`` variable with zetai = 1/zeta."""
 
-    def test_arith(self):
-        a = ZetaLaurent({1: X})
-        b = ZetaLaurent({1: X, 0: Y})
-        assert (b - a).coeffs == {0: Y}
+    ZCTX = make_context("x", "y", "zeta")
+    Z = RationalFunction.var(ZCTX, "zeta")
+    ZI = 1 / Z
 
-
-class TestSymbolPoly:
-    def test_loop_parameter_rewrite(self):
-        ctx = symbol_context()
-        z = SymbolPoly.var(ctx, ZETA)
-        zi = SymbolPoly.var(ctx, ZETA_INV)
-        assert (z * zi - SymbolPoly.const(ctx, 1)).is_zero()
+    def test_inverse_pair(self):
+        z, zi = self.Z, self.ZI
+        assert (z * zi - 1).is_zero()
         assert z * z * zi == z
+
+    def test_laurent_split(self):
+        x, y = RationalFunction.var(self.ZCTX, "x"), RationalFunction.var(self.ZCTX, "y")
+        z, zi = self.Z, self.ZI
+        lau = x * z**2 + y + x * y * zi
+        # clearing the pole leaves a polynomial whose zeta^0 coefficient is
+        # the zeta^-1 coefficient of the Laurent polynomial
+        cleared = lau * z
+        assert cleared.is_polynomial()
+        at_zero = {n: MultiPoly.var(self.ZCTX, n) for n in ("x", "y")}
+        at_zero["zeta"] = MultiPoly.zero(self.ZCTX)
+        assert cleared.substitute(at_zero) == x * y
+        assert lau - x * y * zi == x * z**2 + y
+
+    def test_laurent_arith(self):
+        x, y = RationalFunction.var(self.ZCTX, "x"), RationalFunction.var(self.ZCTX, "y")
+        a = x * self.Z
+        b = x * self.Z + y
+        assert b - a == y
+        assert (x * self.ZI) * (y * self.Z) == x * y
 
 
 def polys():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from h5twistor import ansatz, gauge
-from h5twistor.exactalg import CRational, MatRF, RationalFunction
+from h5twistor.exactalg import CRational, MatRF, MultiPoly, RationalFunction
 from h5twistor.heisenberg import CTX5, FieldId
 
 
@@ -57,13 +57,23 @@ class TestCurvature:
         assert gauge.asd_residuals(base) == gauge.asd_residuals(moved)
 
     def test_zeta_flatness_layout(self):
-        conn = rank1(phi00=rf("y10p"), phi11=rf("y01p"))
-        lau = gauge.zeta_flatness(conn)
+        # R1 = -1, R2 = 1, R3 = -1: every coefficient is pinned
+        conn = rank1(phi00=rf("y10p"), phi01=rf("y11p"), phi11=rf("y00p"))
+        pencil = gauge.zeta_flatness(conn)
         r1, r2, r3 = gauge.asd_residuals(conn)
-        zero = MatRF.zeros(1, 1, CTX5)
-        assert (lau[2] or zero) == r1
-        assert (lau[1] or zero) == -r2
-        assert (lau[0] or zero) == r3
+        at_zero = {n: MultiPoly.var(CTX5, n) for n in CTX5}
+        at_zero["zeta"] = MultiPoly.zero(CTX5)
+
+        def dz(m):
+            return m.map(lambda e: e.derivative("zeta"))
+
+        def at0(m):
+            return m.map(lambda e: e.substitute(at_zero))
+
+        assert at0(dz(dz(pencil))) == r1.scale(RationalFunction.const(CTX5, 2))
+        assert at0(dz(pencil)) == -r2
+        assert at0(pencil) == r3
+        assert not any(r.is_zero() for r in (r1, r2, r3))
 
 
 class TestGaugeTransform:

@@ -2,7 +2,8 @@
 
 ``golden_outputs.json`` holds the ``h5 construct`` stdout for a few seeds
 (polynomial, rational-coefficient, Gaussian-coefficient, ``t`` and the
-instanton) and the sha256 of ``h5 verify --suite algebra --seed 2024``.  A
+instanton) and the sha256 of three reports at seed 2024: ``h5 verify
+--suite algebra``, ``h5 verify --suite all`` and ``h5 real check``.  A
 change to the kernel must leave these bytes alone; a deliberate change to
 the printed form must regenerate the file and say why.
 """
@@ -34,10 +35,27 @@ def test_construct_stdout(phi):
     assert out == GOLDEN["construct"][phi]
 
 
-def test_verify_algebra_sha256(monkeypatch):
+def run_report(monkeypatch, argv):
     # the report names the installed version; the golden bytes come from a
     # source tree that is not installed, where the version reads 0.0.0
     monkeypatch.setattr(cli, "VERSION", "0.0.0")
-    code, out = run(["verify", "--suite", "algebra", "--seed", "2024"])
+    code, out = run(argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN["verify_algebra_2024_sha256"]
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_verify_algebra_sha256(monkeypatch):
+    argv = ["verify", "--suite", "algebra", "--seed", "2024"]
+    assert run_report(monkeypatch, argv) == GOLDEN["verify_algebra_2024_sha256"]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["verify", "--suite", "all", "--seed", "2024"], "verify_all_2024_sha256"),
+        (["real", "check", "--seed", "2024"], "real_check_2024_sha256"),
+    ],
+    ids=["verify-all", "real-check"],
+)
+def test_report_sha256(monkeypatch, argv, key):
+    assert run_report(monkeypatch, argv) == GOLDEN[key]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from h5twistor import ansatz, heisenberg, realslice as R
+from h5twistor import ansatz, cli, heisenberg, realslice as R
 from h5twistor.exactalg import CR_I, CRational, RationalFunction
 from h5twistor.heisenberg import FieldId
 
@@ -43,6 +43,23 @@ class TestEmbedding:
 
 
 class TestRealFields:
+    # each real field on each real coordinate function: reference values
+    # checked by hand, which the derivation through the embedding must give
+    COORDINATE_GOLDENS = {
+        FieldId.V00: ("1/2", "-1/2*i", "0", "0", "-1*i*y1 + -1*y2"),
+        FieldId.V10: ("0", "0", "1/2", "-1/2*i", "1*i*y3 + y4"),
+        FieldId.V01: ("0", "0", "-1/2", "-1/2*i", "1*i*y3 + -1*y4"),
+        FieldId.V11: ("1/2", "1/2*i", "0", "0", "1*i*y1 + -1*y2"),
+        FieldId.T: ("0", "0", "0", "0", "1*i"),
+    }
+
+    @pytest.mark.parametrize("fid", list(FieldId), ids=lambda f: f.name)
+    def test_derived_fields_golden(self, fid):
+        for name, want in zip(R.RVARS, self.COORDINATE_GOLDENS[fid]):
+            got = R.real_field(fid, rv(name))
+            assert got == cli.parse_expression(want, R.RCTX), (fid, name)
+            assert str(got) == want
+
     def test_sub_laplacian_goldens(self):
         assert R.real_sub_laplacian(rv("y1") * rv("y1")) == RationalFunction.const(
             R.RCTX, CRational(Fraction(1, 2))
@@ -151,7 +168,7 @@ class TestCurvatureSplit:
 
         conn = ansatz.build_connection(ansatz.seed_catalog("t"))
         rc = R.pullback_connection(conn)
-        fh = R.fh_plus_coefficients(rc)
+        fh = R.real_curvature_split(rc)[0]
         r1, r2, r3 = gauge.asd_residuals(conn)
         half = CRational(Fraction(1, 2))
         assert fh[0] == r1.map(R.pullback)

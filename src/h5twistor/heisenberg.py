@@ -151,16 +151,9 @@ def left_translation(g: GroupPoint, ctx: Context | None = None) -> Dict[str, Mul
     to its composition with x -> g o x, as polynomials.
     """
     ctx = ctx or CTX5
-    sub: Dict[str, MultiPoly] = {}
-    gx = [MultiPoly.const(ctx, CRational.coerce(c)) for c in g.coords()]
-    xs = [MultiPoly.var(ctx, n) for n in COMPLEX_VARS]
-    sub[Y00] = gx[0] + xs[0]
-    sub[Y10] = gx[1] + xs[1]
-    sub[Y01] = gx[2] + xs[2]
-    sub[Y11] = gx[3] + xs[3]
-    b = gx[0] * xs[3] - gx[2] * xs[1] + gx[1] * xs[2] - gx[3] * xs[0]
-    sub[TVAR] = gx[4] + xs[4] + b
-    return sub
+    gx = GroupPoint(*(MultiPoly.const(ctx, CRational.coerce(c)) for c in g.coords()))
+    x = GroupPoint(*(MultiPoly.var(ctx, n) for n in COMPLEX_VARS))
+    return dict(zip(COMPLEX_VARS, group_mul(gx, x).coords()))
 
 
 def norm_sq(ctx: Context = CTX5) -> MultiPoly:

@@ -29,7 +29,7 @@ from .exactalg import (
     make_context,
 )
 from .gauge import HORIZONTAL, ConnectionForm, curvature
-from .heisenberg import COMPLEX_VARS, T_COEFF, TVAR, FieldId, GroupPoint, Y00, Y01, Y10, Y11
+from .heisenberg import COMPLEX_VARS, T_COEFF, TVAR, FieldId, GroupPoint
 
 RVARS = ("y1", "y2", "y3", "y4", "s")
 RCTX: Context = make_context(*RVARS)
@@ -84,16 +84,10 @@ def embed(p: RealPoint) -> GroupPoint:
 
 
 def embed_substitution(target: Context = RCTX) -> Dict[str, MultiPoly]:
-    """Complex coordinates as polynomials in the real ones."""
-    v = {n: MultiPoly.var(target, n) for n in RVARS}
-    i = CR_I
-    return {
-        Y00: v["y1"] + v["y2"].scale(i),
-        Y10: v["y3"] + v["y4"].scale(i),
-        Y01: -v["y3"] + v["y4"].scale(i),
-        Y11: v["y1"] - v["y2"].scale(i),
-        TVAR: v["s"].scale(-i),
-    }
+    """Complex coordinates as polynomials in the real ones: ``embed`` of the
+    real coordinate functions."""
+    p = RealPoint(*(MultiPoly.var(target, n) for n in RVARS))
+    return dict(zip(COMPLEX_VARS, embed(p).coords()))
 
 
 def pullback(f: RationalFunction, target: Context = RCTX) -> RationalFunction:
@@ -102,14 +96,6 @@ def pullback(f: RationalFunction, target: Context = RCTX) -> RationalFunction:
 
 
 # -- real left-invariant fields ------------------------------------------------
-
-
-def _rf(ctx, name):
-    return RationalFunction.var(ctx, name)
-
-
-def _const(ctx, c):
-    return RationalFunction.const(ctx, CRational.coerce(c))
 
 
 @lru_cache(maxsize=None)
@@ -121,6 +107,9 @@ def _real_field_table(ctx: Context) -> Dict[FieldId, Tuple[Tuple[str, RationalFu
     d/dz_k = sum_j (J^-1)_jk d/dx_j on pulled-back functions, and the field
     sum_k c_k d/dz_k has the real coefficients sum_k pullback(c_k) (J^-1)_jk.
     """
+    for name in RVARS:
+        if name not in ctx:
+            raise RealSliceError(f"context {ctx} lacks real coordinate {name!r}")
     sub = embed_substitution(ctx)
     jinv = MatRF(
         [[RationalFunction(sub[z].derivative(x)) for x in RVARS] for z in COMPLEX_VARS]
@@ -140,31 +129,50 @@ def _real_field_table(ctx: Context) -> Dict[FieldId, Tuple[Tuple[str, RationalFu
     return table
 
 
-def real_field(field: FieldId, f: RationalFunction) -> RationalFunction:
-    """The complex left-invariant fields restricted to the real slice,
-    derived from the complex field table through the embedding."""
-    ctx = f.ctx
-    for name in RVARS:
-        if name not in ctx:
-            raise RealSliceError(f"context {ctx} lacks real coordinate {name!r}")
-    terms = [c * f.derivative(x) for x, c in _real_field_table(ctx)[field]]
+# X1..X4 as combinations of the complex fields: X1 = (V00+V11)/2,
+# X2 = (V11-V00)/(2i), X3 = (V10-V01)/2, X4 = i(V10+V01)/2
+_X_COMBINATIONS = {
+    1: ((FieldId.V00, HALF), (FieldId.V11, HALF)),
+    2: ((FieldId.V00, HALF * CR_I), (FieldId.V11, -HALF * CR_I)),
+    3: ((FieldId.V10, HALF), (FieldId.V01, -HALF)),
+    4: ((FieldId.V10, HALF * CR_I), (FieldId.V01, HALF * CR_I)),
+}
+
+
+@lru_cache(maxsize=None)
+def _x_field_table(ctx: Context) -> Dict[int, Tuple[Tuple[str, RationalFunction], ...]]:
+    """The nonzero (real coordinate, coefficient) pairs of X1..X4, combined
+    from the rows of ``_real_field_table``."""
+    fields = _real_field_table(ctx)
+    table = {}
+    for k, combination in _X_COMBINATIONS.items():
+        coeffs: Dict[str, RationalFunction] = {}
+        for field, weight in combination:
+            for x, c in fields[field]:
+                coeffs[x] = coeffs[x] + c * weight if x in coeffs else c * weight
+        table[k] = tuple((x, c) for x, c in coeffs.items() if not c.is_zero())
+    return table
+
+
+def _apply_rows(
+    rows: Tuple[Tuple[str, RationalFunction], ...], f: RationalFunction
+) -> RationalFunction:
+    terms = [c * f.derivative(x) for x, c in rows]
     return sum(terms[1:], terms[0])
 
 
+def real_field(field: FieldId, f: RationalFunction) -> RationalFunction:
+    """The complex left-invariant fields restricted to the real slice,
+    derived from the complex field table through the embedding."""
+    return _apply_rows(_real_field_table(f.ctx)[field], f)
+
+
 def x_field(k: int, f: RationalFunction) -> RationalFunction:
-    """The four real horizontal fields X1..X4."""
-    ctx = f.ctx
-    half = _const(ctx, HALF)
-    ds = f.derivative("s")
-    if k == 1:
-        return half * f.derivative("y1") + _rf(ctx, "y2") * ds
-    if k == 2:
-        return half * f.derivative("y2") - _rf(ctx, "y1") * ds
-    if k == 3:
-        return half * f.derivative("y3") + _rf(ctx, "y4") * ds
-    if k == 4:
-        return half * f.derivative("y4") - _rf(ctx, "y3") * ds
-    raise RealSliceError("k must be 1..4")
+    """The four real horizontal fields X1..X4, derived from the real fields:
+    they are left-invariant and the contact form vanishes on them."""
+    if k not in _X_COMBINATIONS:
+        raise RealSliceError("k must be 1..4")
+    return _apply_rows(_x_field_table(f.ctx)[k], f)
 
 
 def real_sub_laplacian(f: RationalFunction) -> RationalFunction:
@@ -360,27 +368,24 @@ def _perm_sign(perm: List[int]) -> int:
 # -- coframe -------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _coframe(ctx: Context) -> Dict[str, RealForm]:
+    z = {name: RationalFunction(y) for name, y in embed_substitution(ctx).items()}
+    dz = {name: RealForm.function(f).d() for name, f in z.items()}
+    theta = dz[TVAR]
+    for field, (coord, sign) in T_COEFF.items():
+        theta = theta - dz[field.value].scale(z[coord] * sign)
+    out = {name[1:]: dz[name] for name in COMPLEX_VARS if name != TVAR}
+    out["theta"] = theta
+    return out
+
+
 def coframe(ctx: Context = RCTX) -> Dict[str, RealForm]:
-    """The four horizontal covectors theta^AB' and the contact form theta."""
-    dy = [RealForm.covector(ctx, k) for k in range(N_COVECTORS)]
-    i = CR_I
-    one = RationalFunction.one(ctx)
-    y1, y2, y3, y4 = (_rf(ctx, n) for n in ("y1", "y2", "y3", "y4"))
-    iconst = RationalFunction.const(ctx, i)
-    theta = (
-        dy[4].scale(-(iconst))
-        + dy[1].scale(iconst * 2 * y1)
-        + dy[0].scale(-(iconst * 2 * y2))
-        + dy[2].scale(iconst * 2 * y4)
-        + dy[3].scale(-(iconst * 2 * y3))
-    )
-    return {
-        "00p": dy[0] + dy[1].scale(i),
-        "01p": -dy[2] + dy[3].scale(i),
-        "10p": dy[2] + dy[3].scale(i),
-        "11p": dy[0] - dy[1].scale(i),
-        "theta": theta,
-    }
+    """The four horizontal covectors theta^AB' = d y_AB' and the contact form
+    theta = dt - sum_k c_k dy_k, pulled back to the real slice, where
+    V_k = d/dy_k + c_k d/dt in ``heisenberg.T_COEFF``: theta vanishes on
+    the V_k."""
+    return dict(_coframe(ctx))
 
 
 # contraction fields
@@ -569,17 +574,14 @@ def real_curvature_split_projector(rc: ConnectionForm) -> Tuple[MatRF, MatRF, Ma
 
 def fiber_uniqueness_certificate() -> bool:
     """Distinct real points have disjoint twistor fibers: the determinant
-    of the 2x2 difference matrix is the Euclidean distance squared."""
+    of the 2x2 matrix of the embedded difference is the Euclidean distance
+    squared."""
     ctx = make_context("x1", "x2", "x3", "x4", "u1", "u2", "u3", "u4")
-    i = CR_I
     x = [MultiPoly.var(ctx, f"x{k}") for k in (1, 2, 3, 4)]
     u = [MultiPoly.var(ctx, f"u{k}") for k in (1, 2, 3, 4)]
     d = [a - b for a, b in zip(x, u)]
-    m00 = d[0] + d[1].scale(i)
-    m01 = -d[2] + d[3].scale(i)
-    m10 = d[2] + d[3].scale(i)
-    m11 = d[0] - d[1].scale(i)
-    det = m00 * m11 - m01 * m10
+    m = embed(RealPoint(*d, MultiPoly.zero(ctx)))
+    det = m.y00p * m.y11p - m.y01p * m.y10p
     sum_sq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3]
     return det == sum_sq
 
@@ -610,20 +612,9 @@ def real_eta_certificate() -> bool:
 
     ctx = make_context(*(RVARS + ("zeta",)))
     vs = {n: RationalFunction.var(ctx, n) for n in ctx}
-    p = RealPoint(vs["y1"], vs["y2"], vs["y3"], vs["y4"], vs["s"])
-    i = RationalFunction.const(ctx, CR_I)
-    gp = GroupPoint(
-        y00p=p.y1 + i * p.y2,
-        y10p=p.y3 + i * p.y4,
-        y01p=-p.y3 + i * p.y4,
-        y11p=p.y1 - i * p.y2,
-        t=-(i * p.s),
-    )
-    a = eta(gp, vs["zeta"])
-    b = real_eta(
-        RealPoint(vs["y1"], vs["y2"], vs["y3"], vs["y4"], vs["s"]), vs["zeta"]
-    )
-    # real_eta uses CR_I against rational functions; rebuild with the same i
+    p = RealPoint(*(vs[n] for n in RVARS))
+    a = eta(embed(p), vs["zeta"])
+    b = real_eta(p, vs["zeta"])
     return all((x - y).is_zero() for x, y in zip(a.coords(), b.coords()))
 
 

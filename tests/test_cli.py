@@ -142,6 +142,7 @@ BAD_INPUT = [
     (["eval", "--object", "fhplus", "--phi", "y00p*y11p"], 1),
     (["construct", "--phi", "y00p*y11p"], 1),
     (["real", "check", "--suite", "bogus"], 2),
+    (["twistor", "roundtrip", "--samples", "-1"], 2),
 ]
 
 
@@ -154,6 +155,29 @@ class TestBadInput:
     )
     def test_json_error(self, capsys, argv, code):
         assert cli.main(argv) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == 1 and payload["error"]
+
+
+USAGE_ERRORS = [
+    [],
+    ["verify", "--format", "xml"],
+    ["verify", "--suite", "bogus"],
+    ["construct"],
+    ["twistor", "roundtrip", "--samples", "many"],
+]
+
+
+class TestUsageErrors:
+    """argparse's usage errors print the JSON error too, and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv", USAGE_ERRORS, ids=[" ".join(argv) or "(none)" for argv in USAGE_ERRORS]
+    )
+    def test_json_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 1 and payload["error"]
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from h5twistor import ansatz, cli, heisenberg, realslice as R
-from h5twistor.exactalg import CR_I, CRational, RationalFunction
+from h5twistor.exactalg import CR_I, CRational, MultiPoly, RationalFunction
 from h5twistor.heisenberg import FieldId
 
 
@@ -68,7 +68,26 @@ class TestRealFields:
 
     def test_x_field_bracket_golden(self):
         lhs = R.x_field(1, R.x_field(2, rv("s"))) - R.x_field(2, R.x_field(1, rv("s")))
-        assert lhs == RationalFunction.const(R.RCTX, -1)
+        assert lhs == RationalFunction.const(R.RCTX, 1)
+
+    def test_x_fields_horizontal(self):
+        theta = R.coframe()["theta"]
+        for k in range(1, 5):
+            components = [R.x_field(k, rv(name)) for name in R.RVARS]
+            assert theta.contract(components).is_zero(), k
+
+    def test_x_fields_left_invariant(self):
+        g = R.RealPoint(*(MultiPoly.const(R.RCTX, CRational(c)) for c in (1, -2, 3, 1, 5)))
+        x = R.RealPoint(*(MultiPoly.var(R.RCTX, name) for name in R.RVARS))
+        sub = dict(zip(R.RVARS, R.real_group_mul(g, x).coords()))
+        f = rv("y1") * rv("s") + rv("y2") ** 2 * rv("y4")
+        for k in range(1, 5):
+            assert R.x_field(k, f).substitute(sub) == R.x_field(k, f.substitute(sub)), k
+
+    def test_sub_laplacian_pulls_back(self):
+        y = {name: RationalFunction.var(heisenberg.CTX5, name) for name in heisenberg.COMPLEX_VARS}
+        f = y["y00p"] ** 2 * y["t"] + y["y10p"] * y["y11p"] * y["t"]
+        assert R.real_sub_laplacian(R.pullback(f)) == R.pullback(heisenberg.sub_laplacian(f))
 
     def test_sum_of_squares(self):
         f = rv("y1") ** 2 * rv("y3") + rv("s") * rv("y2")

@@ -228,7 +228,7 @@ def cmd_construct(args) -> int:
 def _parse_point(text: str) -> GroupPoint:
     try:
         return GroupPoint.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise UsageError(f"bad --point: {type(exc).__name__}: {exc}") from None
 
 

@@ -170,6 +170,10 @@ class MultiPoly:
     def is_one(self) -> bool:
         return self.den == 1 and self.terms == {0: (1, 0)}
 
+    def is_monic(self) -> bool:
+        """True iff the lex-leading coefficient is exactly 1."""
+        return bool(self.terms) and self.terms[max(self.terms)] == (self.den, 0)
+
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
@@ -232,6 +236,10 @@ class MultiPoly:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check(other)
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
         return MultiPoly(
             self.ctx, _mul_terms(self.terms, other.terms, self.ctx), self.den * other.den
         )

@@ -2,8 +2,20 @@
 symbolic identities.
 
 Equality is decided by cross-multiplication, so num/den pairs never need a
-multivariate GCD.  Normalization still cancels cheap common factors (shared
-monomials, exact polynomial division, scalar content) to keep objects small.
+multivariate GCD.  Factors are cancelled only where an exact
+``MultiPoly.try_div`` finds them, in two places:
+
+* the operation that would create a common factor: ``+`` puts two
+  fractions over the larger denominator when one denominator divides the
+  other, and ``*`` (hence ``/``) divides each numerator by the other
+  operand's denominator when that division is exact;
+* normalization (``_normalize``), which cancels a shared monomial, then
+  the whole denominator or the whole numerator when one divides the other.
+
+A factor shared only in part is left: a sum over ``t^2 (t+3)^5`` and
+``(t+3)^5 (t+1)`` still goes over their product, and a gauge-moved
+curvature entry can keep ``t^2 (t+3)^10`` where its lowest form has
+``t^2 (t+3)^3``.  Such pairs need factored denominators or a GCD.
 """
 
 from __future__ import annotations
@@ -72,11 +84,18 @@ class RationalFunction:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1 == d2:
+            return RationalFunction(n1 + n2, d1)
+        if not (d1.is_constant() or d2.is_constant()):
+            # over the larger denominator when one divides the other
+            q = d1.try_div(d2)
+            if q is not None:
+                return RationalFunction(n1 + n2 * q, d1)
+            q = d2.try_div(d1)
+            if q is not None:
+                return RationalFunction(n1 * q + n2, d2)
+        return RationalFunction(n1 * d2 + n2 * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -91,7 +110,10 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
+        return RationalFunction(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -99,7 +121,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * RationalFunction(other.den, other.num)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -163,9 +185,11 @@ class RationalFunction:
 
 
 def _normalize(num: MultiPoly, den: MultiPoly):
-    """Cheap canonicalization: shared monomial factor, exact division when it
-    succeeds, then a unit scaling so the denominator's lex-leading
-    coefficient is 1 (hence the den of a polynomial is the constant 1)."""
+    """Cheap canonicalization: divide out the shared monomial factor, then
+    the denominator when it divides the numerator (or the numerator when it
+    divides the denominator), then scale by a unit so the denominator is
+    monic, with lex-leading coefficient 1 (so the den of a polynomial is
+    the constant 1).  A common factor that divides neither whole stays."""
     if num.is_zero():
         return num, MultiPoly.one(num.ctx)
     mono = num.monomial_gcd(den)
@@ -180,10 +204,18 @@ def _normalize(num: MultiPoly, den: MultiPoly):
             q = den.try_div(num)
             if q is not None:
                 num, den = MultiPoly.one(num.ctx), q
-    _, lead = den.leading()
-    if lead != CRational(1):
-        inv = lead.inverse()
+    if not den.is_monic():
+        inv = den.leading()[1].inverse()
         num = num.scale(inv)
         den = den.scale(inv)
     return num, den
 
+
+def _cancel(num: MultiPoly, den: MultiPoly):
+    """``(num / den, 1)`` when ``den`` divides ``num`` exactly, else unchanged;
+    tried only when both are non-constant."""
+    if not (num.is_constant() or den.is_constant()):
+        q = num.try_div(den)
+        if q is not None:
+            return q, MultiPoly.one(num.ctx)
+    return num, den

@@ -30,10 +30,13 @@ class SamplePlan:
     tol: float = 1e-6
 
 
-def evaluate(f: RationalFunction, point: Mapping[str, complex]) -> complex:
-    """Double-precision value with a denominator guard."""
+def evaluate(
+    f: RationalFunction, point: Mapping[str, complex], eps_den: float = SamplePlan.eps_den
+) -> complex:
+    """Double-precision value; raises ``NearSingularError`` where the
+    denominator's modulus is at most ``eps_den``."""
     den = f.den.evaluate(point)
-    if abs(den) <= 1e-6:
+    if abs(den) <= eps_den:
         raise NearSingularError(f"denominator {abs(den):.3g} at sample point")
     return f.num.evaluate(point) / den
 
@@ -67,24 +70,30 @@ def sample_points(
     return accepted, rejected
 
 
-def _fd_partial(f: RationalFunction, point: Dict[str, complex], name: str, h: float) -> complex:
+def _fd_partial(
+    f: RationalFunction, point: Dict[str, complex], name: str, h: float, eps_den: float
+) -> complex:
     up = dict(point)
     dn = dict(point)
     up[name] = point[name] + h
     dn[name] = point[name] - h
-    return (evaluate(f, up) - evaluate(f, dn)) / (2 * h)
+    return (evaluate(f, up, eps_den) - evaluate(f, dn, eps_den)) / (2 * h)
 
 
 def fd_field_value(
-    fid: FieldId, f: RationalFunction, point: Dict[str, complex], h: float
+    fid: FieldId,
+    f: RationalFunction,
+    point: Dict[str, complex],
+    h: float,
+    eps_den: float = SamplePlan.eps_den,
 ) -> complex:
     """Central-difference value of a left-invariant field (the functions
     are complex-analytic, so a real step per complex coordinate suffices)."""
     if fid is FieldId.T:
-        return _fd_partial(f, point, TVAR, h)
+        return _fd_partial(f, point, TVAR, h, eps_den)
     coord, sign = T_COEFF[fid]
-    out = _fd_partial(f, point, fid.value, h)
-    return out + sign * point[coord] * _fd_partial(f, point, TVAR, h)
+    out = _fd_partial(f, point, fid.value, h, eps_den)
+    return out + sign * point[coord] * _fd_partial(f, point, TVAR, h, eps_den)
 
 
 def fd_field_check(fid: FieldId, f: RationalFunction, plan: SamplePlan) -> float:
@@ -93,8 +102,8 @@ def fd_field_check(fid: FieldId, f: RationalFunction, plan: SamplePlan) -> float
     pts, _ = sample_points(plan, COMPLEX_VARS, guards=(f, sym))
     worst = 0.0
     for p in pts:
-        fd = fd_field_value(fid, f, p, plan.fd_step)
-        exact = evaluate(sym, p)
+        fd = fd_field_value(fid, f, p, plan.fd_step, plan.eps_den)
+        exact = evaluate(sym, p, plan.eps_den)
         err = abs(fd - exact) / max(1.0, abs(exact))
         worst = max(worst, err)
     return worst
@@ -119,8 +128,8 @@ def convergence_slope(
     for h in steps:
         err = 0.0
         for p in pts:
-            fd = fd_field_value(fid, f, p, h)
-            exact = evaluate(sym, p)
+            fd = fd_field_value(fid, f, p, h, plan.eps_den)
+            exact = evaluate(sym, p, plan.eps_den)
             err = max(err, abs(fd - exact) / max(1.0, abs(exact)))
         if err <= 1e-12:
             # exact up to roundoff (low-degree polynomials); no slope to fit

@@ -134,6 +134,8 @@ BAD_INPUT = [
     (["eval", "--object", "eta", "--point", "{bad"], 2),
     (["eval", "--object", "eta", "--point", "{}"], 2),
     (["eval", "--object", "eta", "--zeta", "abc"], 2),
+    (["eval", "--object", "eta", "--point", '{"y00p": 1, "y10p": "0", "y01p": "0", "y11p": "0", "t": "0"}'], 2),
+    (["eval", "--object", "eta", "--point", '{"y00p": "1/0", "y10p": "0", "y01p": "0", "y11p": "0", "t": "0"}'], 2),
     (["construct", "--phi", "t", "--phit", '[["t+", "0"], ["0", "0"]]'], 2),
     (["construct", "--phi", "t", "--phit", '[["t"]]'], 2),
     (["construct", "--phi", "t", "--phit", "[["], 2),

@@ -191,6 +191,41 @@ def polys():
     )
 
 
+# non-monomial and pairwise coprime
+P = X * X + Y
+Q = X + Y + 1
+R = X - 2 * Y + 3
+
+
+class TestCancellation:
+    """Arithmetic cancels a factor where exact division finds it."""
+
+    def test_mul_cancels_across(self):
+        assert ((P / Q) * (Q / R)).den == R.num
+
+    def test_add_uses_the_larger_denominator(self):
+        assert (P / Q + R / Q**2).den == (Q * Q).num
+
+    def test_div_cancels_across(self):
+        assert ((P / Q) / (P / R)).den == Q.num
+
+    @given(polys(), polys(), polys(), polys())
+    @settings(max_examples=50, deadline=None)
+    def test_value_kept(self, p, q, r, s):
+        """Each result equals, by cross-multiplication, the uncancelled
+        num/den built by hand, and its denominator is monic."""
+        if q.is_zero() or r.is_zero():
+            return
+        x, y = RationalFunction(p * s, q * r), RationalFunction(q * s + r, r * q)
+        n1, d1, n2, d2 = x.num, x.den, y.num, y.den
+        cases = [(x + y, n1 * d2 + n2 * d1, d1 * d2), (x * y, n1 * n2, d1 * d2)]
+        if not y.is_zero():
+            cases.append((x / y, n1 * d2, d1 * n2))
+        for got, num, den in cases:
+            assert got.num * den == num * got.den
+            assert got.den.is_monic()
+
+
 class TestHashAgreesWithEq:
     def test_cancelled_pair(self):
         a = (X * X - Y * Y) / ((X - Y) * (X + 1))

@@ -45,6 +45,14 @@ class TestSampling:
         with pytest.raises(numcheck.NearSingularError):
             numcheck.evaluate(f, origin)
 
+    def test_evaluate_guard_follows_eps_den(self):
+        f = 1 / rf("y00p")
+        point = {n: 1 + 0j for n in COMPLEX_VARS}
+        point["y00p"] = 1e-4
+        assert numcheck.evaluate(f, point) == pytest.approx(1e4)
+        with pytest.raises(numcheck.NearSingularError):
+            numcheck.evaluate(f, point, eps_den=1e-3)
+
 
 class TestFiniteDifferences:
     def test_all_fields_all_functions(self):

@@ -128,6 +128,15 @@ def test_rational_function_equality(dp, dq, dr, ds):
     assert (f == g) == (sp.expand(sp_ * ss - sr * sq) == 0)
     # the same value written over a multiplied-out denominator
     assert f == RationalFunction(p * s, q * s)
+    # +, * and / whose operands share the factor q or p, so arithmetic cancels
+    shared = [
+        (f + RationalFunction(r, q * s), sp_ * ss + sr, sq * ss),
+        (f * RationalFunction(q * r, s), sp_ * sr, ss),
+    ]
+    if not p.is_zero():
+        shared.append((f / RationalFunction(p, s), ss, sq))
+    for got, num, den in shared:
+        assert sp.expand(to_sympy(got.num) * den - num * to_sympy(got.den)) == 0
 
 
 def test_try_div_with_fractional_quotient():

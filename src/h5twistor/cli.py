@@ -391,6 +391,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _error(f"bad expression: {exc}", 2)
     except UsageError as exc:
         return _error(str(exc), 2)
+    except (OverflowError, OSError) as exc:  # out-of-range input, unwritable --out
+        return _error(f"{type(exc).__name__}: {exc}", 2)
 
 
 if __name__ == "__main__":

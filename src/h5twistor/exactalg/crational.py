@@ -143,31 +143,32 @@ class CRational:
 
     @staticmethod
     def parse(text: str) -> "CRational":
-        """Inverse of ``str``: accepts ``a/b``, ``c/d*i``, ``a/b+c/d*i``."""
+        """Inverse of ``str``: accepts ``a/b``, ``c/d*i`` and ``a/b+c/d*i``,
+        where ``c/d*i`` may also be written ``c/di`` or, for c/d = 1, ``i``.
+        Anything else, such as ``*i`` or ``1+2``, raises ValueError."""
         s = text.strip().replace(" ", "")
-        if s == "0":
-            return CRational()
         # split at a +/- that is not the leading sign
         for k in range(len(s) - 1, 0, -1):
             if s[k] in "+-" and s[k - 1] not in "+-/*":
-                head, tail = s[:k], s[k:]
+                parts = (s[:k], s[k:])
                 break
         else:
-            head, tail = s, ""
-        def one(part):
-            if not part:
-                return Fraction(0), Fraction(0)
-            if part.endswith("*i") or part.endswith("i"):
-                body = part[:-2] if part.endswith("*i") else part[:-1]
-                if body in ("", "+"):
-                    body = "1"
-                elif body == "-":
-                    body = "-1"
-                return Fraction(0), Fraction(body)
-            return Fraction(part), Fraction(0)
-        re1, im1 = one(head)
-        re2, im2 = one(tail)
-        return CRational(re1 + re2, im1 + im2)
+            parts = (s,)
+        re = im = None
+        for part in parts:
+            if not part.endswith("i"):
+                if re is not None:
+                    raise ValueError(f"two real parts in {text!r}")
+                re = Fraction(part)
+                continue
+            if im is not None:
+                raise ValueError(f"two imaginary parts in {text!r}")
+            if part.endswith("*i"):
+                im = Fraction(part[:-2])  # an empty or sign-only coefficient raises
+            else:
+                body = part[:-1]
+                im = Fraction(body + "1" if body in ("", "+", "-") else body)
+        return CRational(re or 0, im or 0)
 
 
 CR_ZERO = CRational(0)

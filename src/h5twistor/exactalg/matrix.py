@@ -42,13 +42,6 @@ class MatRF:
         zero = RationalFunction.zero(ctx)
         return MatRF([[zero] * cols for _ in range(rows)])
 
-    @staticmethod
-    def diag(values: Sequence[RationalFunction]) -> "MatRF":
-        ctx = values[0].ctx
-        zero = RationalFunction.zero(ctx)
-        n = len(values)
-        return MatRF([[values[i] if i == j else zero for j in range(n)] for i in range(n)])
-
     # -- accessors -----------------------------------------------------------
 
     def __getitem__(self, ij):

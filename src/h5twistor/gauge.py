@@ -9,7 +9,7 @@ into a quadratic pencil in the loop parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 from .exactalg import Context, MatRF, MultiPoly, RationalFunction, make_context
 from .heisenberg import FieldId, apply_field, bracket_table
@@ -46,9 +46,6 @@ class ConnectionForm:
             FieldId.V01: self.phi01,
             FieldId.V11: self.phi11,
         }[field]
-
-    def blocks(self) -> Dict[FieldId, MatRF]:
-        return {f: self.block(f) for f in FieldId}
 
 
 def _apply_field_mat(op: Callable, field: FieldId, m: MatRF) -> MatRF:

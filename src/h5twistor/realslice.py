@@ -29,7 +29,7 @@ from .exactalg import (
     make_context,
 )
 from .gauge import HORIZONTAL, ConnectionForm, curvature
-from .heisenberg import COMPLEX_VARS, T_COEFF, TVAR, FieldId, GroupPoint
+from .heisenberg import COMPLEX_VARS, T_COEFF, TVAR, FieldId, GroupPoint, phi_inst
 
 RVARS = ("y1", "y2", "y3", "y4", "s")
 RCTX: Context = make_context(*RVARS)
@@ -184,10 +184,8 @@ def real_sub_laplacian(f: RationalFunction) -> RationalFunction:
 
 
 def phi_real(ctx: Context = RCTX) -> RationalFunction:
-    """The real harmonic seed 1/(|x|^4 + s^2)."""
-    v = {n: MultiPoly.var(ctx, n) for n in RVARS}
-    r2 = v["y1"] ** 2 + v["y2"] ** 2 + v["y3"] ** 2 + v["y4"] ** 2
-    return RationalFunction(MultiPoly.one(ctx), r2 * r2 + v["s"] ** 2)
+    """The real harmonic seed 1/(|x|^4 + s^2): the pulled-back ``phi_inst``."""
+    return pullback(phi_inst(), ctx)
 
 
 # -- exterior algebra ----------------------------------------------------------
@@ -195,6 +193,8 @@ def phi_real(ctx: Context = RCTX) -> RationalFunction:
 # covector indices: 0..3 are dy1..dy4, 4 is ds
 N_COVECTORS = 5
 DS = 4
+# the six dy-only two-form monomials dy_a ^ dy_b, a < b
+DY_PAIRS = tuple((a, b) for a in range(DS) for b in range(a + 1, DS))
 
 
 def _merge_sign(a: Tuple[int, ...], b: Tuple[int, ...]):
@@ -239,10 +239,6 @@ class RealForm:
 
     def __setattr__(self, name, value):
         raise AttributeError("RealForm is immutable")
-
-    @staticmethod
-    def zero(ctx: Context, degree: int) -> "RealForm":
-        return RealForm(ctx, degree, {})
 
     @staticmethod
     def covector(ctx: Context, index: int) -> "RealForm":
@@ -323,12 +319,12 @@ class RealForm:
         return RealForm(self.ctx, self.degree - 1, out)
 
     def hodge_star(self) -> "RealForm":
-        """Euclidean Hodge star by the permutation-sign rule."""
+        """Euclidean Hodge star: dx^idx goes to sign * dx^comp, with sign
+        that of the permutation idx + comp, the wedge sign of their merge."""
         out: Dict[Tuple[int, ...], RationalFunction] = {}
         for idx, c in self.terms.items():
             comp = tuple(k for k in range(N_COVECTORS) if k not in idx)
-            perm = list(idx) + list(comp)
-            sign = _perm_sign(perm)
+            _, sign = _merge_sign(idx, comp)
             val = c if sign > 0 else -c
             out[comp] = out[comp] + val if comp in out else val
         return RealForm(self.ctx, N_COVECTORS - self.degree, out)
@@ -352,17 +348,6 @@ class RealForm:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def _perm_sign(perm: List[int]) -> int:
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign
 
 
 # -- coframe -------------------------------------------------------------------
@@ -407,14 +392,6 @@ def s_basis(ctx: Context = RCTX) -> Dict[str, RealForm]:
     }
 
 
-@dataclass(frozen=True)
-class SplitForm:
-    h_part: RealForm
-    v_part: RealForm
-    h_plus: RealForm
-    h_minus: RealForm
-
-
 def iota_r_star(omega: RealForm) -> RealForm:
     """The star-contraction operator of the self-duality projectors."""
     return omega.hodge_star().contract(R_VECTOR)
@@ -442,12 +419,6 @@ def sd_asd_split(omega_h: RealForm) -> Tuple[RealForm, RealForm]:
     plus = (omega_h + p).scale(HALF)
     minus = (omega_h - p).scale(HALF)
     return plus, minus
-
-
-def full_split(omega: RealForm) -> SplitForm:
-    h, v = hv_split(omega)
-    plus, minus = sd_asd_split(h)
-    return SplitForm(h, v, plus, minus)
 
 
 # -- curvature on the real slice -------------------------------------------------
@@ -497,36 +468,30 @@ def curvature_two_form(rc: ConnectionForm) -> List[List[RealForm]]:
     return out
 
 
-def _s_expansion_matrix(ctx: Context = RCTX) -> MatRF:
-    """Inverse of the matrix expressing the six S-forms over the six
-    dy-only basis monomials."""
-    basis = s_basis(ctx)
-    monos = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    zero = RationalFunction.zero(ctx)
-    rows = []
-    for idx in monos:
-        rows.append([basis[name].terms.get(idx, zero) for name in S_ORDER])
-    return MatRF(rows).inverse()
-
-
 S_ORDER = ("S00p", "S01p", "S11p", "S00", "S01", "S11")
+
+
+@lru_cache(maxsize=None)
+def _s_matrix(ctx: Context) -> Tuple[MatRF, MatRF]:
+    """The S-matrix, whose column k holds S_ORDER[k] over ``DY_PAIRS``, and
+    its inverse; built on first use per context."""
+    basis = s_basis(ctx)
+    zero = RationalFunction.zero(ctx)
+    m = MatRF([[basis[name].terms.get(idx, zero) for name in S_ORDER] for idx in DY_PAIRS])
+    return m, m.inverse()
 
 
 def expand_in_s_basis(omega_h: RealForm) -> Dict[str, RationalFunction]:
     """Write a horizontal two-form in the six-element S-basis."""
     if any(DS in idx for idx in omega_h.terms):
         raise RealSliceError("horizontal forms carry no ds component")
-    inv = _s_expansion_matrix(omega_h.ctx)
-    monos = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    inv = _s_matrix(omega_h.ctx)[1]
     zero = RationalFunction.zero(omega_h.ctx)
-    vec = [omega_h.terms.get(idx, zero) for idx in monos]
-    out = {}
-    for i, name in enumerate(S_ORDER):
-        acc = zero
-        for j in range(6):
-            acc = acc + inv[i, j] * vec[j]
-        out[name] = acc
-    return out
+    vec = [omega_h.terms.get(idx, zero) for idx in DY_PAIRS]
+    return {
+        name: sum((inv[i, j] * v for j, v in enumerate(vec)), zero)
+        for i, name in enumerate(S_ORDER)
+    }
 
 
 def real_curvature_split(rc: ConnectionForm):
@@ -552,21 +517,11 @@ def real_curvature_split(rc: ConnectionForm):
 def real_curvature_split_projector(rc: ConnectionForm) -> Tuple[MatRF, MatRF, MatRF]:
     """Projector-path F_H^+: split the full curvature two-form entrywise and
     expand the self-dual horizontal part in the S-basis."""
-    n = rc.rank
-    F = curvature_two_form(rc)
-    coeffs = {name: [[None] * n for _ in range(n)] for name in ("S00p", "S01p", "S11p")}
-    for i in range(n):
-        for j in range(n):
-            sf = full_split(F[i][j])
-            exp = expand_in_s_basis(sf.h_plus)
-            for name in ("S00p", "S01p", "S11p"):
-                coeffs[name][i][j] = exp[name]
-            # the anti-self-dual names must absorb the rest exactly
-    return (
-        MatRF(coeffs["S00p"]),
-        MatRF(coeffs["S01p"]),
-        MatRF(coeffs["S11p"]),
-    )
+    expanded = [
+        [expand_in_s_basis(sd_asd_split(hv_split(f)[0])[0]) for f in row]
+        for row in curvature_two_form(rc)
+    ]
+    return tuple(MatRF([[e[name] for e in row] for row in expanded]) for name in S_ORDER[:3])
 
 
 # -- certificates ----------------------------------------------------------------
@@ -641,19 +596,14 @@ def eigenvalue_certificate(ctx: Context = RCTX) -> bool:
 def star_involution_certificate(ctx: Context = RCTX) -> bool:
     """The star-contraction squares to the identity on horizontal
     two-forms."""
-    for a in range(4):
-        for b in range(a + 1, 4):
-            one = RationalFunction.one(ctx)
-            m = RealForm(ctx, 2, {(a, b): one})
-            if iota_r_star(iota_r_star(m)) != m:
-                return False
+    one = RationalFunction.one(ctx)
+    for idx in DY_PAIRS:
+        m = RealForm(ctx, 2, {idx: one})
+        if iota_r_star(iota_r_star(m)) != m:
+            return False
     return True
 
 
 def s_basis_rank_certificate(ctx: Context = RCTX) -> bool:
     """The six S-forms span the horizontal two-form space."""
-    basis = s_basis(ctx)
-    monos = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    zero = RationalFunction.zero(ctx)
-    rows = [[basis[name].terms.get(idx, zero) for name in S_ORDER] for idx in monos]
-    return not MatRF(rows).det().is_zero()
+    return not _s_matrix(ctx)[0].det().is_zero()

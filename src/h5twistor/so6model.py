@@ -19,16 +19,16 @@ from .exactalg import (
     RationalFunction,
     make_context,
 )
+from .heisenberg import COMPLEX_VARS, CTX5
 
 HALF = CRational(Fraction(1, 2))
 
 # symbolic contexts: group coordinates, optionally a second group element
 # (prefix "h"), planes (x1, x2), and the loop parameter
-CTX_H = make_context("y00p", "y10p", "y01p", "y11p", "t")
-CTX_HH = make_context(
-    "y00p", "y10p", "y01p", "y11p", "t", "h00p", "h10p", "h01p", "h11p", "ht"
-)
-CTX_HZ = make_context("y00p", "y10p", "y01p", "y11p", "t", "zeta")
+CTX_H = CTX5
+H_VARS = ("h00p", "h10p", "h01p", "h11p", "ht")
+CTX_HH = make_context(*COMPLEX_VARS, *H_VARS)
+CTX_HZ = make_context(*COMPLEX_VARS, "zeta")
 CTX_XZ = make_context("x1", "x2", "t", "zeta")
 
 
@@ -81,14 +81,7 @@ def h_matrix(y00, y10, y01, y11, t) -> MatRF:
 
 def h_matrix_point(ctx: Context = CTX_H) -> MatRF:
     """h_matrix on the five coordinate symbols themselves."""
-    return h_matrix(*(_v(ctx, n) for n in ("y00p", "y10p", "y01p", "y11p", "t")))
-
-
-def n_matrix(x1, x2, t) -> MatRF:
-    """The plane factor N_(x,t) = H_(x1, x2, 0, 0, t)."""
-    ctx = x1.ctx
-    zero = RationalFunction.zero(ctx)
-    return h_matrix(x1, x2, zero, zero, t)
+    return h_matrix(*(_v(ctx, n) for n in COMPLEX_VARS))
 
 
 def p_zeta(zeta) -> MatRF:
@@ -201,8 +194,8 @@ def homomorphism_check() -> bool:
     -<yhat0', y1'> + <y0', yhat1'> (equal to the pairing B of the abstract
     group law)."""
     ctx = CTX_HH
-    y = tuple(_v(ctx, n) for n in ("y00p", "y10p", "y01p", "y11p", "t"))
-    h = tuple(_v(ctx, n) for n in ("h00p", "h10p", "h01p", "h11p", "ht"))
+    y = tuple(_v(ctx, n) for n in COMPLEX_VARS)
+    h = tuple(_v(ctx, n) for n in H_VARS)
     lhs = h_matrix(*y) @ h_matrix(*h)
     offset = -pairing((h[0], h[1]), (y[2], y[3])) + pairing((y[0], y[1]), (h[2], h[3]))
     rhs = h_matrix(y[0] + h[0], y[1] + h[1], y[2] + h[2], y[3] + h[3], y[4] + h[4] + offset)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -129,6 +130,10 @@ class TestEval:
         assert val == [[[[0.0, 0.0]] * 2] * 2] * 3
 
 
+POINT_1E400 = json.dumps({"y00p": "1", "y10p": "1/2", "y01p": "-1/3", "y11p": "2", "t": "1e400"})
+POINT_1E200 = json.dumps({"y00p": "1e200", "y10p": "1e200", "y01p": "0", "y11p": "1e200", "t": "1"})
+UNWRITABLE = os.path.join(os.devnull, "r.json")
+
 BAD_INPUT = [
     (["eval", "--object", "connection", "--phi", "y00p +"], 2),
     (["eval", "--object", "eta", "--point", "{bad"], 2),
@@ -145,6 +150,16 @@ BAD_INPUT = [
     (["construct", "--phi", "y00p*y11p"], 1),
     (["real", "check", "--suite", "bogus"], 2),
     (["twistor", "roundtrip", "--samples", "-1"], 2),
+    (["eval", "--object", "eta", "--zeta", "*i"], 2),
+    (["eval", "--object", "eta", "--zeta", "1+2"], 2),
+    (["eval", "--object", "eta", "--zeta", "1-*i"], 2),
+    # out of range: the packed exponent limit, float conversion, complex power
+    (["construct", "--phi", "y00p^99999"], 2),
+    (["eval", "--object", "connection", "--phi", "t", "--point", POINT_1E400], 2),
+    (["eval", "--object", "connection", "--phi", "inst", "--point", POINT_1E200], 2),
+    # an --out that cannot be written
+    (["so6", "verify-all", "--out", UNWRITABLE], 2),
+    (["report", "--out", UNWRITABLE], 2),
 ]
 
 
@@ -167,6 +182,9 @@ USAGE_ERRORS = [
     ["verify", "--suite", "bogus"],
     ["construct"],
     ["twistor", "roundtrip", "--samples", "many"],
+    ["verify", "--seed", "1.5"],
+    ["report", "--seed", "x"],
+    ["so6", "verify-all", "--seed", "1.5"],
 ]
 
 

@@ -36,6 +36,16 @@ class TestCRational:
             z = CRational.parse(s)
             assert CRational.parse(str(z)) == z
 
+    @given(crationals())
+    @settings(max_examples=50, deadline=None)
+    def test_parse_inverts_str(self, a):
+        assert CRational.parse(str(a)) == a
+
+    @pytest.mark.parametrize("text", ["*i", "-*i", "1-*i", "1+2", "i+i", "1*i+2*i", "", "+"])
+    def test_parse_rejects_malformed(self, text):
+        with pytest.raises(ValueError):
+            CRational.parse(text)
+
     def test_parse_golden(self):
         z = CRational.parse("1/2+3/4*i")
         assert z.re == Fraction(1, 2) and z.im == Fraction(3, 4)

@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from h5twistor import ansatz, cli, heisenberg, realslice as R
-from h5twistor.exactalg import CR_I, CRational, MultiPoly, RationalFunction
+from h5twistor.exactalg import CR_I, CRational, MatRF, MultiPoly, RationalFunction, make_context
 from h5twistor.heisenberg import FieldId
 
 
@@ -99,6 +100,16 @@ class TestRealFields:
     def test_phi_real_harmonic(self):
         assert R.real_sub_laplacian(R.phi_real()).is_zero()
 
+    PHI_REAL = (
+        "(1) / (y1^4 + 2*y1^2*y2^2 + 2*y1^2*y3^2 + 2*y1^2*y4^2 + y2^4 + 2*y2^2*y3^2"
+        " + 2*y2^2*y4^2 + y3^4 + 2*y3^2*y4^2 + y4^4 + s^2)"
+    )
+
+    def test_phi_real_text(self):
+        # 1/(|x|^4 + s^2) in expanded form, whichever way phi_real builds it
+        assert str(R.phi_real()) == self.PHI_REAL
+        assert str(R.phi_real(make_context(*R.RVARS, "zeta"))) == self.PHI_REAL
+
 
 class TestForms:
     def test_wedge_antisymmetry(self):
@@ -114,6 +125,18 @@ class TestForms:
         assert dy(0).wedge(dy(2)).hodge_star() == dy(1).wedge(dy(3)).wedge(dy(4)).scale(
             CRational(-1)
         )
+
+    def test_hodge_star_signs(self):
+        # every basis monomial, against a brute-force inversion count
+        one = RationalFunction.one(R.RCTX)
+        n = R.N_COVECTORS
+        for degree in range(n + 1):
+            for idx in itertools.combinations(range(n), degree):
+                comp = tuple(k for k in range(n) if k not in idx)
+                perm = idx + comp
+                inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+                want = R.RealForm(R.RCTX, n - degree, {comp: -one if inversions % 2 else one})
+                assert R.RealForm(R.RCTX, degree, {idx: one}).hodge_star() == want, idx
 
     def test_contract_golden(self):
         omega = dy(0).wedge(dy(4))
@@ -176,6 +199,15 @@ class TestCurvatureSplit:
         fh, _ = R.real_curvature_split(rc)
         fh2 = R.real_curvature_split_projector(rc)
         assert all(a == b for a, b in zip(fh, fh2))
+
+    def test_projector_split_reuses_the_s_matrix(self, monkeypatch):
+        rc = R.pullback_connection(ansatz.build_connection(ansatz.seed_catalog("t")))
+        R.real_curvature_split_projector(rc)
+        calls = []
+        inverse = MatRF.inverse
+        monkeypatch.setattr(MatRF, "inverse", lambda m: calls.append(m) or inverse(m))
+        R.real_curvature_split_projector(rc)
+        assert len(calls) == 0
 
     def test_instanton_contact(self):
         rc = R.pullback_connection(ansatz.build_connection(ansatz.seed_catalog("inst")))

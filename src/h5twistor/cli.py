@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from functools import lru_cache
 from typing import List, Sequence
 
 from . import ansatz, checks, gauge, heisenberg, realslice, twistor
@@ -300,6 +302,17 @@ def cmd_twistor_roundtrip(args) -> int:
     return _finish(checks.run_checks("twistor", args.seed, picked, VERSION), args.out)
 
 
+def _finite_float(text: str) -> float:
+    """An argparse type: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as the JSON error object, with exit code 2."""
 
@@ -307,7 +320,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(_error(message, 2))
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; each ``parse_args`` returns a
+    fresh namespace, so no value carries over between calls."""
     ap = _ArgumentParser(
         prog="h5",
         description="Exact verification of anti-self-dual connections on the "
@@ -335,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--zeta", default="0")
     p_eval.add_argument("--point", default=None, help="GroupPoint JSON")
     p_eval.add_argument(
-        "--real-point", type=float, nargs=5, default=[0.5, 0.25, -0.5, 0.75, 1.0],
+        "--real-point", type=_finite_float, nargs=5, default=[0.5, 0.25, -0.5, 0.75, 1.0],
         metavar=("Y1", "Y2", "Y3", "Y4", "S"),
     )
     p_eval.add_argument("--out", default=None)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 from .poly import Context
 from .rational import RationalFunction
@@ -103,6 +103,14 @@ class MatRF:
         return MatRF([[self.entries[j][i] for j in range(self.rows)] for i in range(self.cols)])
 
     def commutator(self, other: "MatRF") -> "MatRF":
+        if self.rows == self.cols == 2:
+            # [[a, b], [c, d]] with [[e, f], [g, h]]: 6 products, not 16;
+            # the unpacking rejects an ``other`` that is not 2x2
+            (a, b), (c, d) = self.entries
+            (e, f), (g, h) = other.entries
+            a_d, e_h = a - d, e - h
+            c00 = b * g - c * f
+            return MatRF([[c00, a_d * f - b * e_h], [c * e_h - a_d * g, -c00]])
         return self @ other - other @ self
 
     def __eq__(self, other):
@@ -126,8 +134,7 @@ class MatRF:
         if n == 1:
             return self.entries[0][0]
         if n == 2:
-            a, b = self.entries[0]
-            c, d = self.entries[1]
+            (a, b), (c, d) = self.entries
             return a * d - b * c
         # Gaussian elimination over the exact field
         m = [list(r) for r in self.entries]
@@ -155,8 +162,7 @@ class MatRF:
         n = self.rows
         ctx = self.ctx
         if n == 2:
-            a, b = self.entries[0]
-            c, d = self.entries[1]
+            (a, b), (c, d) = self.entries
             det = a * d - b * c
             if det.is_zero():
                 raise SingularMatrixError("singular 2x2 matrix")

@@ -283,6 +283,14 @@ class MultiPoly:
                 terms[e - unit] = (a * k, b * k)
         return MultiPoly(self.ctx, terms, self.den)
 
+    def apply_derivation(self, rows) -> "MultiPoly":
+        """``sum c * d(self)/dx`` over the ``(x, c)`` rows of a vector field
+        whose coefficients ``c`` are polynomials in this context."""
+        out = MultiPoly(self.ctx, {})
+        for name, c in rows:
+            out = out + c * self.derivative(name)
+        return out
+
     def integrate(self, name: str) -> "MultiPoly":
         """Termwise antiderivative in ``name`` with integration constant zero."""
         shift = _shift(self.ctx, name)

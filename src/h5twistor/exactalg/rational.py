@@ -84,6 +84,11 @@ class RationalFunction:
 
     def __add__(self, other):
         other = self._coerce(other)
+        self.num._check(other.num)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if d1 == d2:
             return RationalFunction(n1 + n2, d1)
@@ -110,6 +115,11 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        self.num._check(other.num)
+        if self.is_zero():
+            return self
+        if other.is_zero():
+            return other
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         n1, d2 = _cancel(n1, d2)
         n2, d1 = _cancel(n2, d1)
@@ -135,14 +145,19 @@ class RationalFunction:
 
     # -- calculus ---------------------------------------------------------------
 
-    def derivative(self, name: str) -> "RationalFunction":
-        """Quotient rule: (p/q)' = (p'q - pq') / q^2."""
-        if self.is_polynomial():
-            return RationalFunction(self.num.derivative(name))
+    def apply_derivation(self, rows) -> "RationalFunction":
+        """The vector field with ``(x, c)`` rows, ``D = sum c * d/dx`` with
+        polynomial ``c``, by one quotient rule: D(p/q) = (D(p) q - p D(q)) / q^2."""
         p, q = self.num, self.den
+        if q.is_one():
+            return RationalFunction(p.apply_derivation(rows))
         return RationalFunction(
-            p.derivative(name) * q - p * q.derivative(name), q * q
+            p.apply_derivation(rows) * q - p * q.apply_derivation(rows), q * q
         )
+
+    def derivative(self, name: str) -> "RationalFunction":
+        """The one-row derivation d/d``name``."""
+        return self.apply_derivation(((name, MultiPoly.one(self.ctx)),))
 
     def substitute(self, values: Mapping[str, MultiPoly]) -> "RationalFunction":
         return RationalFunction(self.num.substitute(values), self.den.substitute(values))

@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict
+from functools import lru_cache
+from typing import Dict, Tuple
 
 from .exactalg import (
     Context,
@@ -103,27 +104,30 @@ T_COEFF = {
 }
 
 
+@lru_cache(maxsize=None)
+def _field_rows(field: FieldId, ctx: Context) -> Tuple[Tuple[str, MultiPoly], ...]:
+    """The ``(coordinate, coefficient)`` rows of a field from ``T_COEFF``."""
+    for name in COMPLEX_VARS:
+        if name not in ctx:
+            raise ContextError(f"context {ctx} lacks group coordinate {name!r}")
+    rows = ((field.value, MultiPoly.one(ctx)),)
+    if field is FieldId.T:
+        return rows
+    coord_name, sign = T_COEFF[field]
+    return rows + ((TVAR, MultiPoly.var(ctx, coord_name).scale(sign)),)
+
+
 def apply_field(
     field: FieldId, f: MultiPoly | RationalFunction
 ) -> MultiPoly | RationalFunction:
-    """Apply a left-invariant vector field to a MultiPoly or a RationalFunction.
+    """Apply a left-invariant vector field to a MultiPoly or a RationalFunction,
+    as one derivation over the field's coefficient rows.
 
     Works in any context containing the five group coordinates, so symbolic
     parameters (loop parameter, free coefficients) ride along untouched; the
     d/dt coefficients are polynomial, so polynomials map to polynomials.
     """
-    ctx = f.ctx
-    for name in COMPLEX_VARS:
-        if name not in ctx:
-            raise ContextError(f"context {ctx} lacks group coordinate {name!r}")
-    if field is FieldId.T:
-        return f.derivative(TVAR)
-    coord_name, sign = T_COEFF[field]
-    coeff = type(f).var(ctx, coord_name)
-    base = f.derivative(field.value)
-    if sign > 0:
-        return base + coeff * f.derivative(TVAR)
-    return base - coeff * f.derivative(TVAR)
+    return f.apply_derivation(_field_rows(field, f.ctx))
 
 
 def bracket_table(a: FieldId, b: FieldId) -> int:

@@ -99,13 +99,14 @@ def pullback(f: RationalFunction, target: Context = RCTX) -> RationalFunction:
 
 
 @lru_cache(maxsize=None)
-def _real_field_table(ctx: Context) -> Dict[FieldId, Tuple[Tuple[str, RationalFunction], ...]]:
+def _real_field_table(ctx: Context) -> Dict[FieldId, Tuple[Tuple[str, MultiPoly], ...]]:
     """Each complex field of ``heisenberg.T_COEFF``, pushed through the
-    embedding: the nonzero (real coordinate, coefficient) pairs.
+    embedding: the nonzero (real coordinate, coefficient) rows.
 
     The embedding z = J x is linear, so by the chain rule
     d/dz_k = sum_j (J^-1)_jk d/dx_j on pulled-back functions, and the field
-    sum_k c_k d/dz_k has the real coefficients sum_k pullback(c_k) (J^-1)_jk.
+    sum_k c_k d/dz_k has the real coefficients sum_k pullback(c_k) (J^-1)_jk,
+    polynomials because J^-1 is constant.
     """
     for name in RVARS:
         if name not in ctx:
@@ -125,7 +126,8 @@ def _real_field_table(ctx: Context) -> Dict[FieldId, Tuple[Tuple[str, RationalFu
             coord, sign = T_COEFF[field]
             ct = RationalFunction(sub[coord].scale(sign))
         coeffs = ((x, jinv[j, k] + ct * jinv[j, t]) for j, x in enumerate(RVARS))
-        table[field] = tuple((x, c) for x, c in coeffs if not c.is_zero())
+        # polynomials, so each is its numerator over the denominator 1
+        table[field] = tuple((x, c.num) for x, c in coeffs if not c.is_zero())
     return table
 
 
@@ -140,13 +142,13 @@ _X_COMBINATIONS = {
 
 
 @lru_cache(maxsize=None)
-def _x_field_table(ctx: Context) -> Dict[int, Tuple[Tuple[str, RationalFunction], ...]]:
-    """The nonzero (real coordinate, coefficient) pairs of X1..X4, combined
+def _x_field_table(ctx: Context) -> Dict[int, Tuple[Tuple[str, MultiPoly], ...]]:
+    """The nonzero (real coordinate, coefficient) rows of X1..X4, combined
     from the rows of ``_real_field_table``."""
     fields = _real_field_table(ctx)
     table = {}
     for k, combination in _X_COMBINATIONS.items():
-        coeffs: Dict[str, RationalFunction] = {}
+        coeffs: Dict[str, MultiPoly] = {}
         for field, weight in combination:
             for x, c in fields[field]:
                 coeffs[x] = coeffs[x] + c * weight if x in coeffs else c * weight
@@ -154,17 +156,10 @@ def _x_field_table(ctx: Context) -> Dict[int, Tuple[Tuple[str, RationalFunction]
     return table
 
 
-def _apply_rows(
-    rows: Tuple[Tuple[str, RationalFunction], ...], f: RationalFunction
-) -> RationalFunction:
-    terms = [c * f.derivative(x) for x, c in rows]
-    return sum(terms[1:], terms[0])
-
-
 def real_field(field: FieldId, f: RationalFunction) -> RationalFunction:
     """The complex left-invariant fields restricted to the real slice,
     derived from the complex field table through the embedding."""
-    return _apply_rows(_real_field_table(f.ctx)[field], f)
+    return f.apply_derivation(_real_field_table(f.ctx)[field])
 
 
 def x_field(k: int, f: RationalFunction) -> RationalFunction:
@@ -172,7 +167,7 @@ def x_field(k: int, f: RationalFunction) -> RationalFunction:
     they are left-invariant and the contact form vanishes on them."""
     if k not in _X_COMBINATIONS:
         raise RealSliceError("k must be 1..4")
-    return _apply_rows(_x_field_table(f.ctx)[k], f)
+    return f.apply_derivation(_x_field_table(f.ctx)[k])
 
 
 def real_sub_laplacian(f: RationalFunction) -> RationalFunction:

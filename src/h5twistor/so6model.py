@@ -10,7 +10,7 @@ inverse are ordinary rational functions of one symbol here.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from .exactalg import (
     Context,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exactalg import CRational, MultiPoly, RationalFunction, make_context
+from .exactalg import CRational, RationalFunction, make_context
 from .heisenberg import (
     COMPLEX_VARS,
     FieldId,

@@ -175,6 +175,16 @@ class TestBadInput:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 1 and payload["error"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_real_point(self, capsys, value):
+        # rejected by the argument's type, so argparse exits with code 2
+        argv = ["eval", "--object", "fhplus", "--real-point", value, "0", "0", "0", "1"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == 1 and "finite" in payload["error"]
+
 
 USAGE_ERRORS = [
     [],
@@ -228,6 +238,18 @@ class TestAliases:
         base = count("--samples", "0")
         assert count("--samples", "3") == base + 3
         assert count() == base + 20
+
+
+class TestParserCache:
+    def test_built_once_without_carry_over(self, tmp_path, capsys):
+        cli.build_parser.cache_clear()
+        out = tmp_path / "c.json"
+        assert cli.main(["construct", "--phi", "t", "--out", str(out)]) == 0
+        assert cli.main(["construct", "--phi", "t"]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # the second call printed its report: its --out stayed unset
+        assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
 
 
 class TestRealCheck:

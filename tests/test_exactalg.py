@@ -9,6 +9,7 @@ from h5twistor.exactalg import (
     CR_ONE,
     CR_ZERO,
     CRational,
+    ContextError,
     MatRF,
     MultiPoly,
     RationalFunction,
@@ -155,6 +156,63 @@ class TestMatRF:
         b = MatRF([[Y, zero], [one, X]])
         c = a.commutator(b)
         assert c[0, 0] + c[1, 1] == zero
+
+
+def matrices(n):
+    """n x n matrices of small rational functions in x, y."""
+    entry = st.tuples(polys(), polys().filter(lambda q: not q.is_zero())).map(
+        lambda pq: RationalFunction(*pq)
+    )
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).map(MatRF)
+
+
+class TestCommutator:
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_closed_form_2x2(self, data):
+        a, b = data.draw(matrices(2)), data.draw(matrices(2))
+        c = a.commutator(b)
+        want = a @ b - b @ a
+        for i in range(2):
+            for j in range(2):
+                assert c[i, j] == want[i, j], (i, j)
+
+    def test_paths(self, monkeypatch):
+        """2x2 takes no matrix product; 3x3 takes the two of A B - B A."""
+        calls = []
+        matmul = MatRF.__matmul__
+        monkeypatch.setattr(
+            MatRF, "__matmul__", lambda s, o: calls.append(s.rows) or matmul(s, o)
+        )
+        one, zero = RationalFunction.one(CTX), RationalFunction.zero(CTX)
+        a2, b2 = MatRF([[X, one], [zero, Y]]), MatRF([[Y, X], [one, X]])
+        a2.commutator(b2)
+        assert calls == []
+        a3 = MatRF([[X, one, zero], [zero, Y, X], [one, zero, X * Y]])
+        b3 = MatRF([[Y, zero, one], [X, one, zero], [zero, Y, Y]])
+        c = a3.commutator(b3)
+        assert calls == [3, 3]
+        assert c == a3 @ b3 - b3 @ a3
+        with pytest.raises(ValueError):
+            a2.commutator(b3)
+
+
+class TestZeroShortcuts:
+    OTHER = make_context("x", "z")
+
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    def test_zero_of_another_context_raises(self, op):
+        zero = RationalFunction.zero(self.OTHER)
+        fn = (lambda a, b: a + b) if op == "add" else (lambda a, b: a * b)
+        for a, b in ((X, zero), (zero, X), (RationalFunction.zero(CTX), zero)):
+            with pytest.raises(ContextError):
+                fn(a, b)
+
+    def test_zero_operand(self):
+        zero = RationalFunction.zero(CTX)
+        f = X / (Y + 1)
+        assert f + zero is f and zero + f is f
+        assert (f * zero).is_zero() and (zero * f).is_zero()
 
 
 class TestLoopParameter:

@@ -76,6 +76,23 @@ class TestCurvature:
         assert not any(r.is_zero() for r in (r1, r2, r3))
 
 
+class TestCost:
+    def test_asd_residuals_constructions(self, monkeypatch):
+        """The residuals of the instanton make at most 150 rational functions
+        (384 with three quotient rules and a sum per field application)."""
+        conn = ansatz.build_connection(ansatz.seed_catalog("inst"))
+        made = []
+        init = RationalFunction.__init__
+
+        def counting(self, *args):
+            made.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(RationalFunction, "__init__", counting)
+        assert gauge.is_asd(conn)
+        assert len(made) <= 150
+
+
 class TestGaugeTransform:
     def g(self):
         one = RationalFunction.one(CTX5)

@@ -37,6 +37,31 @@ def generic_quadratic():
     return RationalFunction(quad)
 
 
+def group_rfs():
+    """Small rational functions p/q in the five group coordinates."""
+    term = st.tuples(st.lists(st.integers(0, 2), min_size=5, max_size=5), crationals())
+
+    def poly(ts):
+        out = MultiPoly.zero(CTX5)
+        for exps, c in ts:
+            mono = MultiPoly.const(CTX5, c)
+            for name, k in zip(H.COMPLEX_VARS, exps):
+                mono = mono * MultiPoly.var(CTX5, name) ** k
+            out = out + mono
+        return out
+
+    polys = st.lists(term, max_size=3).map(poly)
+    return st.tuples(polys, polys.filter(lambda q: not q.is_zero())).map(
+        lambda pq: RationalFunction(*pq)
+    )
+
+
+def quotient_rule(f, name):
+    """d f / d name as (p'q - pq') / q^2, from the polynomial derivatives."""
+    p, q = f.num, f.den
+    return RationalFunction(p.derivative(name) * q - p * q.derivative(name), q * q)
+
+
 class TestGroupLaw:
     def test_central_twist_golden(self):
         e00 = GroupPoint(CRational(1), CRational(0), CRational(0), CRational(0), CRational(0))
@@ -135,6 +160,23 @@ class TestFields:
             got = H.apply_field(fid, p)
             assert isinstance(got, MultiPoly)
             assert RationalFunction(got) == H.apply_field(fid, RationalFunction(p))
+
+    @given(group_rfs())
+    @settings(max_examples=40, deadline=None)
+    def test_apply_field_is_the_field_formula(self, f):
+        """Each field as d/dy + c * d/dt, each derivative by the quotient rule."""
+        dt = quotient_rule(f, "t")
+        expected = {
+            FieldId.V00: quotient_rule(f, "y00p") - rf("y11p") * dt,
+            FieldId.V10: quotient_rule(f, "y10p") - rf("y01p") * dt,
+            FieldId.V01: quotient_rule(f, "y01p") + rf("y10p") * dt,
+            FieldId.V11: quotient_rule(f, "y11p") + rf("y00p") * dt,
+            FieldId.T: dt,
+        }
+        for fid, want in expected.items():
+            assert H.apply_field(fid, f) == want, fid
+            if f.is_polynomial():
+                assert RationalFunction(H.apply_field(fid, f.num)) == want, fid
 
     def test_context_guard(self):
         from h5twistor.exactalg import ContextError

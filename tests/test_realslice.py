@@ -61,6 +61,25 @@ class TestRealFields:
             assert got == cli.parse_expression(want, R.RCTX), (fid, name)
             assert str(got) == want
 
+    def test_fields_are_their_rows(self):
+        """real_field and x_field are sum c * d/dx over their polynomial rows,
+        each d/dx by the quotient rule on the polynomial derivatives."""
+        f = R.phi_real() * (rv("y1") * rv("s") + rv("y3") ** 2)
+        p, q = f.num, f.den
+
+        def by_rows(rows):
+            assert all(isinstance(c, MultiPoly) for _, c in rows)
+            num = sum(
+                (c * (p.derivative(x) * q - p * q.derivative(x)) for x, c in rows),
+                MultiPoly.zero(R.RCTX),
+            )
+            return RationalFunction(num, q * q)
+
+        for fid in FieldId:
+            assert R.real_field(fid, f) == by_rows(R._real_field_table(R.RCTX)[fid]), fid
+        for k in range(1, 5):
+            assert R.x_field(k, f) == by_rows(R._x_field_table(R.RCTX)[k]), k
+
     def test_sub_laplacian_goldens(self):
         assert R.real_sub_laplacian(rv("y1") * rv("y1")) == RationalFunction.const(
             R.RCTX, CRational(Fraction(1, 2))

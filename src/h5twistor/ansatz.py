@@ -9,8 +9,7 @@ whose triangular factorization reproduces the connection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from .exactalg import (
     Context,
@@ -42,8 +41,7 @@ class AnsatzError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HarmonicSeed:
+class HarmonicSeed(NamedTuple):
     """A nonzero rational function in the kernel of the sub-Laplacian."""
 
     phi: RationalFunction
@@ -108,8 +106,7 @@ def build_connection(seed: HarmonicSeed, phi_t: MatRF | None = None) -> Connecti
     )
 
 
-@dataclass(frozen=True)
-class PsiMap:
+class PsiMap(NamedTuple):
     """A polynomial change of coordinates straightening two of the
     left-invariant fields into plain partial derivatives."""
 
@@ -159,8 +156,7 @@ def poincare_integrate(
     return RationalFunction(F.substitute(psi.inverse))
 
 
-@dataclass(frozen=True)
-class GammaChain:
+class GammaChain(NamedTuple):
     """A two-sided chain gamma_{-k..k} with gamma_0 the seed, linked by
     V_{A1'} gamma_i = V_{A0'} gamma_{i+1}."""
 
@@ -280,7 +276,7 @@ def h_connection_check(seed: HarmonicSeed, chain: GammaChain | None = None) -> b
         (FieldId.V11, h_hat),
     ):
         lead = MatRF.identity(2, ctx).scale(half * log_derivative(field, phi))
-        dm = mat.map(lambda e: apply_field(field, e))
+        dm = apply_field(field, mat)
         candidate = lead - dm @ mat.inverse()
         if candidate != conn.block(field):
             return False

@@ -119,7 +119,8 @@ class CRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its Fraction (and int), so it hashes as one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     # -- conversion ---------------------------------------------------------
 

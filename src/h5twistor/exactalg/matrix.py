@@ -96,6 +96,13 @@ class MatRF:
     def scale(self, c: RationalFunction) -> "MatRF":
         return self.map(lambda e: e * c)
 
+    def apply_derivation(self, rows) -> "MatRF":
+        """Each entry under the derivation with ``(x, c)`` rows.  D(q) and q^2
+        are computed once per distinct denominator q, and a zero entry is
+        returned as it is."""
+        shared = {}
+        return self.map(lambda e: e if e.is_zero() else e.apply_derivation(rows, shared))
+
     def map(self, fn: Callable[[RationalFunction], RationalFunction]) -> "MatRF":
         return MatRF([[fn(e) for e in row] for row in self.entries])
 

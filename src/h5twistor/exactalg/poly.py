@@ -288,7 +288,9 @@ class MultiPoly:
         whose coefficients ``c`` are polynomials in this context."""
         out = MultiPoly(self.ctx, {})
         for name, c in rows:
-            out = out + c * self.derivative(name)
+            d = self.derivative(name)
+            if d.terms:
+                out = out + c * d
         return out
 
     def integrate(self, name: str) -> "MultiPoly":
@@ -383,8 +385,13 @@ class MultiPoly:
             raise ZeroDivisionError("polynomial division by zero")
         guard = _guard(len(self.ctx))
         de = max(d.terms)
-        # most calls fail on the first leading term: test it before any copying
-        if self.terms and ((max(self.terms) | guard) - de) & guard != guard:
+        # Most calls fail at once, so before any copying test the leading
+        # term, and then the trailing one: the lex-least term of q*d is the
+        # product of the least terms of q and d.
+        if self.terms and (
+            ((max(self.terms) | guard) - de) & guard != guard
+            or ((min(self.terms) | guard) - min(d.terms)) & guard != guard
+        ):
             return None
         la, lb = d.terms[de]
         norm = la * la + lb * lb
@@ -469,6 +476,9 @@ class MultiPoly:
         return self.ctx == other.ctx and self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its scalar value, so it hashes as that value
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.ctx, self.den, frozenset(self.terms.items())))
 
     def __str__(self) -> str:

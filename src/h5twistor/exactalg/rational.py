@@ -1,16 +1,30 @@
 """Exact multivariate rational functions: the universal scalar for all
 symbolic identities.
 
-Equality is decided by cross-multiplication, so num/den pairs never need a
+Every stored ``(num, den)`` pair is a fixed point of ``_normalize``: no
+monomial divides both, neither divides the other, and ``den`` is monic (its
+lex-leading coefficient is 1), so a value that is a polynomial is stored
+over 1.  Multiplying the numerator by a unit keeps a pair fixed, so ``-x``
+is built without normalizing, and so is a polynomial over 1.  ``a - b`` is
+one operation, normalized once, not ``a + (-b)``.
+
+Equality is decided by cross-multiplication, or by the numerators alone
+when the denominators are equal, so num/den pairs never need a
 multivariate GCD.  Factors are cancelled only where an exact
 ``MultiPoly.try_div`` finds them, in two places:
 
-* the operation that would create a common factor: ``+`` puts two
+* the operation that would create a common factor: ``+`` and ``-`` put two
   fractions over the larger denominator when one denominator divides the
   other, and ``*`` (hence ``/``) divides each numerator by the other
   operand's denominator when that division is exact;
 * normalization (``_normalize``), which cancels a shared monomial, then
   the whole denominator or the whole numerator when one divides the other.
+
+``try_div`` rejects most failed divisions before copying anything: the
+divisor's lex-leading monomial must divide the dividend's, and so must its
+lex-least one.  A field applied to a matrix (``MatRF.apply_derivation``)
+computes D(q) and q^2 once per distinct denominator q and leaves zero
+entries as they are.
 
 A factor shared only in part is left: a sum over ``t^2 (t+3)^5`` and
 ``(t+3)^5 (t+1)`` still goes over their product, and a gauge-moved
@@ -31,12 +45,13 @@ class RationalFunction:
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
         if den is None:
-            den = MultiPoly.one(num.ctx)
-        if num.ctx != den.ctx:
-            raise ContextError("numerator and denominator contexts differ")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        num, den = _normalize(num, den)
+            den = MultiPoly.one(num.ctx)  # a polynomial over 1 is already normal
+        else:
+            if num.ctx != den.ctx:
+                raise ContextError("numerator and denominator contexts differ")
+            if den.is_zero():
+                raise ZeroDivisionError("zero denominator")
+            num, den = _normalize(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -83,35 +98,38 @@ class RationalFunction:
     # -- field operations ------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
+        return self._combine(self._coerce(other), 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(self._coerce(other), -1)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def _combine(self, other: "RationalFunction", sign: int) -> "RationalFunction":
+        """``self + sign * other`` in one normalization."""
         self.num._check(other.num)
         if other.is_zero():
             return self
         if self.is_zero():
-            return other
+            return other if sign > 0 else -other
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if d1 == d2:
-            return RationalFunction(n1 + n2, d1)
+            return RationalFunction(n1._combine(n2, sign), d1)
         if not (d1.is_constant() or d2.is_constant()):
             # over the larger denominator when one divides the other
             q = d1.try_div(d2)
             if q is not None:
-                return RationalFunction(n1 + n2 * q, d1)
+                return RationalFunction(n1._combine(n2 * q, sign), d1)
             q = d2.try_div(d1)
             if q is not None:
-                return RationalFunction(n1 * q + n2, d2)
-        return RationalFunction(n1 * d2 + n2 * d1, d1 * d2)
-
-    __radd__ = __add__
+                return RationalFunction((n1 * q)._combine(n2, sign), d2)
+        return RationalFunction((n1 * d2)._combine(n2 * d1, sign), d1 * d2)
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
+        return _known_normal(-self.num, self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -145,15 +163,22 @@ class RationalFunction:
 
     # -- calculus ---------------------------------------------------------------
 
-    def apply_derivation(self, rows) -> "RationalFunction":
+    def apply_derivation(self, rows, shared=None) -> "RationalFunction":
         """The vector field with ``(x, c)`` rows, ``D = sum c * d/dx`` with
-        polynomial ``c``, by one quotient rule: D(p/q) = (D(p) q - p D(q)) / q^2."""
+        polynomial ``c``, by one quotient rule: D(p/q) = (D(p) q - p D(q)) / q^2.
+
+        ``shared`` maps a denominator q to ``(D(q), q^2)`` under the same
+        rows; ``MatRF.apply_derivation`` passes one dict for all its entries."""
         p, q = self.num, self.den
         if q.is_one():
             return RationalFunction(p.apply_derivation(rows))
-        return RationalFunction(
-            p.apply_derivation(rows) * q - p * q.apply_derivation(rows), q * q
-        )
+        dq_q2 = None if shared is None else shared.get(q)
+        if dq_q2 is None:
+            dq_q2 = (q.apply_derivation(rows), q * q)
+            if shared is not None:
+                shared[q] = dq_q2
+        dq, q2 = dq_q2
+        return RationalFunction(p.apply_derivation(rows) * q - p * dq, q2)
 
     def derivative(self, name: str) -> "RationalFunction":
         """The one-row derivation d/d``name``."""
@@ -177,15 +202,19 @@ class RationalFunction:
         other = self._coerce(other)
         if self.ctx != other.ctx:
             raise ContextError("comparing rational functions from different contexts")
+        if self.den == other.den:
+            return self.num == other.num
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self):
-        # Equality is cross-multiplication, and the lex-leading term of a
-        # product is the product of the leading terms, so the leading
-        # monomial of num over that of den, and the ratio of their
+        # A value that is a polynomial is stored over 1 (normalization
+        # divides it out), so it hashes as that polynomial, which it equals.
+        # Otherwise equality is cross-multiplication, and the lex-leading
+        # term of a product is the product of the leading terms, so the
+        # leading monomial of num over that of den, and the ratio of their
         # coefficients, are the same for equal values.
-        if self.num.is_zero():
-            return hash((self.ctx, 0))
+        if self.den.is_one():
+            return hash(self.num)
         ne, nc = self.num.leading()
         de, dc = self.den.leading()
         return hash((self.ctx, tuple(a - b for a, b in zip(ne, de)), nc / dc))
@@ -197,6 +226,15 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
+
+
+def _known_normal(num: MultiPoly, den: MultiPoly) -> RationalFunction:
+    """A RationalFunction from a pair that is already a fixed point of
+    ``_normalize``, such as a stored pair with its numerator negated."""
+    rf = object.__new__(RationalFunction)
+    object.__setattr__(rf, "num", num)
+    object.__setattr__(rf, "den", den)
+    return rf
 
 
 def _normalize(num: MultiPoly, den: MultiPoly):

@@ -8,8 +8,7 @@ into a quadratic pencil in the loop parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import NamedTuple, Tuple
 
 from .exactalg import Context, MatRF, MultiPoly, RationalFunction, make_context
 from .heisenberg import FieldId, apply_field, bracket_table
@@ -17,8 +16,7 @@ from .heisenberg import FieldId, apply_field, bracket_table
 HORIZONTAL = (FieldId.V00, FieldId.V10, FieldId.V01, FieldId.V11)
 
 
-@dataclass(frozen=True)
-class ConnectionForm:
+class ConnectionForm(NamedTuple):
     """Potential blocks keyed by direction; phi_t may be omitted (zero)."""
 
     phi00: MatRF
@@ -48,25 +46,15 @@ class ConnectionForm:
         }[field]
 
 
-def _apply_field_mat(op: Callable, field: FieldId, m: MatRF) -> MatRF:
-    return m.map(lambda e: op(field, e))
-
-
-def curvature(
-    conn: ConnectionForm,
-    a: FieldId,
-    b: FieldId,
-    field_op: Callable[[FieldId, RationalFunction], RationalFunction] | None = None,
-) -> MatRF:
+def curvature(conn: ConnectionForm, a: FieldId, b: FieldId, frame=None) -> MatRF:
     """F(a, b) = a(Phi_b) - b(Phi_a) - Phi_[a,b] + [Phi_a, Phi_b].
 
-    ``field_op(field, f)`` applies a left-invariant field to one entry:
-    ``apply_field`` on the complex group when None, ``real_field`` on the
-    real slice.
+    ``frame`` maps each field to its ``(coordinate, coefficient)`` rows:
+    ``heisenberg.field_frame`` of the context when None, the real fields on
+    the real slice.
     """
-    op = apply_field if field_op is None else field_op
     pa, pb = conn.block(a), conn.block(b)
-    out = _apply_field_mat(op, a, pb) - _apply_field_mat(op, b, pa) + pa.commutator(pb)
+    out = apply_field(a, pb, frame) - apply_field(b, pa, frame) + pa.commutator(pb)
     k = bracket_table(a, b)
     if k:
         pt = conn.block(FieldId.T)
@@ -117,7 +105,7 @@ def gauge_transform(conn: ConnectionForm, g: MatRF) -> ConnectionForm:
     ginv = g.inverse()
 
     def tr(field: FieldId, block: MatRF) -> MatRF:
-        return ginv @ block @ g + ginv @ _apply_field_mat(apply_field, field, g)
+        return ginv @ block @ g + ginv @ apply_field(field, g)
 
     return ConnectionForm(
         phi00=tr(FieldId.V00, conn.phi00),

@@ -12,10 +12,9 @@ only non-constant coefficients sit in front of d/dt.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .exactalg import (
     Context,
@@ -31,8 +30,17 @@ COMPLEX_VARS = (Y00, Y10, Y01, Y11, TVAR)
 CTX5: Context = make_context(*COMPLEX_VARS)
 
 
-@dataclass(frozen=True)
-class GroupPoint:
+def point_eq(self, other) -> bool:
+    """``==`` of the point types: the same type and equal coordinates, so a
+    point never equals a plain tuple or a point of another type."""
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def point_ne(self, other) -> bool:
+    return not point_eq(self, other)
+
+
+class GroupPoint(NamedTuple):
     """A point of C^5; coordinates may be exact, float-complex, or symbolic."""
 
     y00p: object
@@ -40,6 +48,8 @@ class GroupPoint:
     y01p: object
     y11p: object
     t: object
+
+    __eq__, __ne__, __hash__ = point_eq, point_ne, tuple.__hash__
 
     @staticmethod
     def origin(zero=None) -> "GroupPoint":
@@ -105,29 +115,31 @@ T_COEFF = {
 
 
 @lru_cache(maxsize=None)
-def _field_rows(field: FieldId, ctx: Context) -> Tuple[Tuple[str, MultiPoly], ...]:
-    """The ``(coordinate, coefficient)`` rows of a field from ``T_COEFF``."""
+def field_frame(ctx: Context) -> Dict[FieldId, Tuple[Tuple[str, MultiPoly], ...]]:
+    """The ``(coordinate, coefficient)`` rows of each field, from ``T_COEFF``."""
     for name in COMPLEX_VARS:
         if name not in ctx:
             raise ContextError(f"context {ctx} lacks group coordinate {name!r}")
-    rows = ((field.value, MultiPoly.one(ctx)),)
-    if field is FieldId.T:
-        return rows
-    coord_name, sign = T_COEFF[field]
-    return rows + ((TVAR, MultiPoly.var(ctx, coord_name).scale(sign)),)
+    frame = {}
+    for field in FieldId:
+        rows = ((field.value, MultiPoly.one(ctx)),)
+        if field is not FieldId.T:
+            coord_name, sign = T_COEFF[field]
+            rows += ((TVAR, MultiPoly.var(ctx, coord_name).scale(sign)),)
+        frame[field] = rows
+    return frame
 
 
-def apply_field(
-    field: FieldId, f: MultiPoly | RationalFunction
-) -> MultiPoly | RationalFunction:
-    """Apply a left-invariant vector field to a MultiPoly or a RationalFunction,
-    as one derivation over the field's coefficient rows.
+def apply_field(field: FieldId, f, frame=None):
+    """Apply a left-invariant vector field to a MultiPoly, a RationalFunction
+    or, entrywise, a MatRF, as one derivation over the field's rows in
+    ``frame``: ``field_frame`` of f's context when None.
 
     Works in any context containing the five group coordinates, so symbolic
     parameters (loop parameter, free coefficients) ride along untouched; the
     d/dt coefficients are polynomial, so polynomials map to polynomials.
     """
-    return f.apply_derivation(_field_rows(field, f.ctx))
+    return f.apply_derivation((field_frame(f.ctx) if frame is None else frame)[field])
 
 
 def bracket_table(a: FieldId, b: FieldId) -> int:

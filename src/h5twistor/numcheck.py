@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .exactalg import RationalFunction
 from .heisenberg import COMPLEX_VARS, T_COEFF, TVAR, FieldId, apply_field
@@ -20,18 +19,20 @@ class NearSingularError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+EPS_DEN = 1e-6
+
+
+class SamplePlan(NamedTuple):
     count: int = 100
     seed: int = 2024
     box: float = 2.0  # re/im parts drawn uniformly from [-box, box]
-    eps_den: float = 1e-6
+    eps_den: float = EPS_DEN
     fd_step: float = 1e-5
     tol: float = 1e-6
 
 
 def evaluate(
-    f: RationalFunction, point: Mapping[str, complex], eps_den: float = SamplePlan.eps_den
+    f: RationalFunction, point: Mapping[str, complex], eps_den: float = EPS_DEN
 ) -> complex:
     """Double-precision value; raises ``NearSingularError`` where the
     denominator's modulus is at most ``eps_den``."""
@@ -85,7 +86,7 @@ def fd_field_value(
     f: RationalFunction,
     point: Dict[str, complex],
     h: float,
-    eps_den: float = SamplePlan.eps_den,
+    eps_den: float = EPS_DEN,
 ) -> complex:
     """Central-difference value of a left-invariant field (the functions
     are complex-analytic, so a real step per complex coordinate suffices)."""

@@ -14,10 +14,9 @@ gives the printed basis its +-1 eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .exactalg import (
     Context,
@@ -29,7 +28,16 @@ from .exactalg import (
     make_context,
 )
 from .gauge import HORIZONTAL, ConnectionForm, curvature
-from .heisenberg import COMPLEX_VARS, T_COEFF, TVAR, FieldId, GroupPoint, phi_inst
+from .heisenberg import (
+    COMPLEX_VARS,
+    T_COEFF,
+    TVAR,
+    FieldId,
+    GroupPoint,
+    phi_inst,
+    point_eq,
+    point_ne,
+)
 
 RVARS = ("y1", "y2", "y3", "y4", "s")
 RCTX: Context = make_context(*RVARS)
@@ -44,13 +52,14 @@ class RealSliceError(ValueError):
 # -- points and embedding ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RealPoint:
+class RealPoint(NamedTuple):
     y1: object
     y2: object
     y3: object
     y4: object
     s: object
+
+    __eq__, __ne__, __hash__ = point_eq, point_ne, tuple.__hash__
 
     def coords(self):
         return (self.y1, self.y2, self.y3, self.y4, self.s)
@@ -500,7 +509,7 @@ def real_curvature_split(rc: ConnectionForm):
     """
 
     def F(a: FieldId, b: FieldId) -> MatRF:
-        return curvature(rc, a, b, real_field)
+        return curvature(rc, a, b, _real_field_table(rc.ctx))
 
     half = RationalFunction.const(rc.ctx, HALF)
     mid = F(FieldId.V00, FieldId.V11) + F(FieldId.V01, FieldId.V10)

@@ -9,7 +9,7 @@ the chart transition after inverting the parameter.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactalg import CRational, RationalFunction, make_context
 from .heisenberg import (
@@ -22,6 +22,8 @@ from .heisenberg import (
     Y10,
     Y11,
     apply_field,
+    point_eq,
+    point_ne,
 )
 
 CHART_W = "W"
@@ -36,8 +38,7 @@ class TwistorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TwistorPoint:
+class TwistorPoint(NamedTuple):
     """A chart-tagged point (w0, w1, w2, zeta) of twistor space."""
 
     chart: str
@@ -45,6 +46,8 @@ class TwistorPoint:
     w1: object
     w2: object
     zeta: object
+
+    __eq__, __ne__, __hash__ = point_eq, point_ne, tuple.__hash__
 
     def coords(self):
         return (self.w0, self.w1, self.w2, self.zeta)

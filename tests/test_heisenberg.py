@@ -111,6 +111,21 @@ class TestGroupLaw:
         assert GroupPoint.from_json(p.to_json()) == p
         assert set(json.loads(p.to_json())) == set(H.COMPLEX_VARS)
 
+    def test_point_types_compare_by_type_and_value(self):
+        from h5twistor.realslice import RealPoint
+        from h5twistor.twistor import CHART_W, TwistorPoint
+
+        coords = tuple(CRational(k) for k in (1, 2, 3, 4, 5))
+        for make in (GroupPoint, RealPoint, lambda *c: TwistorPoint(CHART_W, *c[:4])):
+            p, q = make(*coords), make(*coords)
+            assert p == q and not p != q and hash(p) == hash(q) and len({p, q}) == 1
+            assert p != make(*coords[::-1])
+            # no point equals a plain tuple or a point of another type
+            assert p != tuple(p) and not p == tuple(p)
+            with pytest.raises(AttributeError):
+                p.t = coords[0]
+        assert GroupPoint(*coords) != RealPoint(*coords)
+
 
 class TestFields:
     def test_bracket_operator_identity(self):

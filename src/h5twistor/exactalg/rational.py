@@ -10,8 +10,10 @@ one operation, normalized once, not ``a + (-b)``.
 
 Equality is decided by cross-multiplication, or by the numerators alone
 when the denominators are equal, so num/den pairs never need a
-multivariate GCD.  Factors are cancelled only where an exact
-``MultiPoly.try_div`` finds them, in two places:
+multivariate GCD.  A value stored over 1 hashes as its numerator, so a
+constant hashes as its scalar in every context; values of two contexts
+compare unequal rather than raising.  Factors are cancelled only where an
+exact ``MultiPoly.try_div`` finds them, in two places:
 
 * the operation that would create a common factor: ``+`` and ``-`` put two
   fractions over the larger denominator when one denominator divides the
@@ -172,11 +174,10 @@ class RationalFunction:
         p, q = self.num, self.den
         if q.is_one():
             return RationalFunction(p.apply_derivation(rows))
-        dq_q2 = None if shared is None else shared.get(q)
+        shared = {} if shared is None else shared
+        dq_q2 = shared.get(q)
         if dq_q2 is None:
-            dq_q2 = (q.apply_derivation(rows), q * q)
-            if shared is not None:
-                shared[q] = dq_q2
+            shared[q] = dq_q2 = (q.apply_derivation(rows), q * q)
         dq, q2 = dq_q2
         return RationalFunction(p.apply_derivation(rows) * q - p * dq, q2)
 
@@ -196,12 +197,16 @@ class RationalFunction:
     # -- comparison ----------------------------------------------------------------
 
     def __eq__(self, other):
-        """True iff self.num * other.den == other.num * self.den exactly."""
+        """True iff self.num * other.den == other.num * self.den exactly.
+
+        As with MultiPoly, values of two contexts are never equal: a
+        constant hashes as its scalar in every context, so a set may hold
+        the same constant from two contexts and compare them."""
         if not isinstance(other, (RationalFunction, MultiPoly, int, CRational)):
             return NotImplemented
         other = self._coerce(other)
         if self.ctx != other.ctx:
-            raise ContextError("comparing rational functions from different contexts")
+            return False
         if self.den == other.den:
             return self.num == other.num
         return (self.num * other.den) == (other.num * self.den)

@@ -332,6 +332,16 @@ class TestHashAgreesWithEq:
         assert RationalFunction(p) == p and hash(RationalFunction(p)) == hash(p)
         assert len({CRational(1), 1, MultiPoly.one(CTX), RationalFunction.one(CTX)}) == 1
 
+    def test_constants_of_two_contexts(self):
+        """A constant hashes alike in every context, but values of two
+        contexts are never equal, so a set keeps one of each."""
+        other = make_context("x", "z")
+        for make in (RationalFunction.zero, RationalFunction.one, MultiPoly.one):
+            a, b = make(CTX), make(other)
+            assert hash(a) == hash(b) and a != b and not a == b
+            assert len({a, b}) == 2
+        assert RationalFunction.var(CTX, "x") != RationalFunction.var(other, "x")
+
 
 def rationals():
     return st.tuples(polys(), polys().filter(lambda q: not q.is_zero())).map(

@@ -33,9 +33,27 @@ def test_claim_needs_nine_wins_and_a_gap_past_the_parent_iqr():
     assert s["change_won"] == 8 and not pairs.claim_met(s, 10)
 
 
+def test_no_claim_below_ten_pairs():
+    s = pairs.summarize(PARENT[:3], [p - 0.1 for p in PARENT[:3]])
+    assert s["change_won"] == 3 and s["every_change_run_better"] is True
+    assert not pairs.claim_met(s, 3)
+    assert pairs.claim_rule(3).startswith("change wins >= 3 of 3 pairs (at least 10 pairs")
+    assert pairs.claim_rule(20).startswith("change wins >= 18 of 20 pairs")
+
+
+def test_claim_protocol_is_enforced_on_the_command_line():
+    base = ["--parent", ".", "--change", ".", "--run", "seed-sweep:1", "--label", "x",
+            "--claim", "seed-sweep:wall_s"]
+    for extra in (["--pairs", "3"], ["--seconds", "8"]):
+        with pytest.raises(SystemExit):
+            pairs.main(base + extra)
+
+
 def test_summary_rejects_unpaired_runs():
     with pytest.raises(ValueError):
         pairs.summarize([1.0, 2.0], [1.0])
+    with pytest.raises(ValueError):
+        pairs.summarize([1.0], [1.0])
     with pytest.raises(ValueError):
         pairs.summarize([], [])
 

@@ -27,6 +27,10 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# A claimed gain needs at least this many pairs at this run length, and the
+# change must win nine pairs in ten.
+CLAIM_PAIRS = 10
+CLAIM_SECONDS = 40
 METRICS = ("wall_s", "op_p50_s", "op_tail_s", "setup_s", "peak_rss_mb")
 TRACED = (
     "exactalg.rf_new.calls",
@@ -43,8 +47,6 @@ TRACED = (
 
 def quartiles(values):
     """(q1, median, q3) of the runs, by the inclusive method."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, med, q3
 
@@ -53,8 +55,8 @@ def summarize(parent, change):
     """One metric over paired runs, lower better: each side's median and
     quartiles, the pairs the change won, and whether its worst run beat the
     parent's best."""
-    if len(parent) != len(change) or not parent:
-        raise ValueError("need the same nonzero number of runs on each side")
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("need the same number of runs, at least two, on each side")
     out = {}
     for side, values in zip(SIDES, (parent, change)):
         q1, med, q3 = quartiles(values)
@@ -64,12 +66,26 @@ def summarize(parent, change):
     return out
 
 
+def wins_needed(pairs):
+    return math.ceil(0.9 * pairs)
+
+
+def claim_rule(pairs):
+    return (f"change wins >= {wins_needed(pairs)} of {pairs} pairs (at least {CLAIM_PAIRS} "
+            f"pairs of {CLAIM_SECONDS} s runs) and the median gap exceeds the parent's q3 - q1")
+
+
 def claim_met(summary, pairs):
-    """The change wins at least nine pairs in ten, and its median beats the
-    parent's by more than the parent's interquartile range."""
+    """Over at least ``CLAIM_PAIRS`` pairs, the change wins nine pairs in
+    ten, and its median beats the parent's by more than the parent's
+    interquartile range."""
     p = summary["parent"]
     gap = p["median"] - summary["change"]["median"]
-    return summary["change_won"] >= math.ceil(0.9 * pairs) and gap > p["q3"] - p["q1"]
+    return (
+        pairs >= CLAIM_PAIRS
+        and summary["change_won"] >= wins_needed(pairs)
+        and gap > p["q3"] - p["q1"]
+    )
 
 
 def run_bench(tree, workload, seed, seconds, trace=0):
@@ -161,8 +177,8 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, type=Path)
     ap.add_argument("--change", required=True, type=Path)
     ap.add_argument("--run", action="append", type=parse_run, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=40)
+    ap.add_argument("--pairs", type=int, default=CLAIM_PAIRS)
+    ap.add_argument("--seconds", type=float, default=CLAIM_SECONDS)
     ap.add_argument("--label", required=True)
     ap.add_argument("--describe", default="", help="one line on what the change does")
     ap.add_argument("--parent-commit", default=None)
@@ -170,6 +186,10 @@ def main(argv=None) -> int:
     ap.add_argument("--trace-seed", type=int, default=None)
     ap.add_argument("--out-dir", type=Path, default=Path("."))
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+    if args.claim and (args.pairs < CLAIM_PAIRS or args.seconds < CLAIM_SECONDS):
+        ap.error(f"--claim needs at least {CLAIM_PAIRS} pairs of {CLAIM_SECONDS} s runs")
 
     trees = {"parent": args.parent, "change": args.change}
     record = {
@@ -196,7 +216,7 @@ def main(argv=None) -> int:
         record["claim"] = {
             "workload": workload,
             "metric": metric,
-            "rule": "change wins >= 9 of 10 pairs and the median gap exceeds the parent's q3 - q1",
+            "rule": claim_rule(args.pairs),
             "met": claim_met(record["workloads"][workload][metric], args.pairs),
         }
     if args.trace_seed is not None:

@@ -167,6 +167,13 @@ def _nonasd_example() -> gauge.ConnectionForm:
     return gauge.ConnectionForm(phi00=y10, phi10=zero, phi01=zero, phi11=zero)
 
 
+def _nonharmonic_example() -> gauge.ConnectionForm:
+    """``build_connection``'s formula on y00p*y11p, whose sub-Laplacian is 1:
+    a rank-2 connection whose F_H^+ has all three parts nonzero."""
+    phi = RationalFunction.var(CTX5, "y00p") * RationalFunction.var(CTX5, "y11p")
+    return ansatz.build_connection(ansatz.HarmonicSeed(phi, heisenberg.sub_laplacian(phi)))
+
+
 def gauge_suite(seed: int) -> List[Check]:
     def antisymmetry():
         conn = ansatz.build_connection(ansatz.seed_catalog("t"))
@@ -332,11 +339,11 @@ def realslice_suite(seed: int) -> List[Check]:
         return h2 == h and v2.is_zero()
 
     def two_path():
-        conn = ansatz.build_connection(ansatz.seed_catalog("t"))
-        rc = realslice.pullback_connection(conn)
+        # on a non-ASD input, so a wrong projector cannot pass as 0 == 0
+        rc = realslice.pullback_connection(_nonharmonic_example())
         fh, _ = realslice.real_curvature_split(rc)
         fh2 = realslice.real_curvature_split_projector(rc)
-        return all(a == b for a, b in zip(fh, fh2))
+        return not any(m.is_zero() for m in fh) and all(a == b for a, b in zip(fh, fh2))
 
     def inst_contact():
         conn = ansatz.build_connection(ansatz.seed_catalog("inst"))

@@ -198,6 +198,10 @@ class MultiPoly:
         """``self + sign * other`` over the least common denominator."""
         other = self._coerce(other)
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other if sign > 0 else -other
         d1, d2 = self.den, other.den
         g = gcd(d1, d2)
         m1, m2 = d2 // g, d1 // g
@@ -236,6 +240,10 @@ class MultiPoly:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         if other.is_one():
             return self
         if self.is_one():
@@ -283,9 +291,12 @@ class MultiPoly:
                 terms[e - unit] = (a * k, b * k)
         return MultiPoly(self.ctx, terms, self.den)
 
-    def apply_derivation(self, rows) -> "MultiPoly":
+    def apply_derivation(self, rows, shared=None) -> "MultiPoly":
         """``sum c * d(self)/dx`` over the ``(x, c)`` rows of a vector field
-        whose coefficients ``c`` are polynomials in this context."""
+        whose coefficients ``c`` are polynomials in this context.  ``shared``
+        is unused (a polynomial has no denominator to share); it is taken
+        so that ``MatRF.apply_derivation`` applies a field to a matrix of
+        polynomials as it does to one of rational functions."""
         out = MultiPoly(self.ctx, {})
         for name, c in rows:
             d = self.derivative(name)

@@ -5,8 +5,9 @@ Every stored ``(num, den)`` pair is a fixed point of ``_normalize``: no
 monomial divides both, neither divides the other, and ``den`` is monic (its
 lex-leading coefficient is 1), so a value that is a polynomial is stored
 over 1.  Multiplying the numerator by a unit keeps a pair fixed, so ``-x``
-is built without normalizing, and so is a polynomial over 1.  ``a - b`` is
-one operation, normalized once, not ``a + (-b)``.
+is built without normalizing, and so are a polynomial over 1 and ``c * x``
+for a nonzero constant ``c`` (the stored pair ``(c * num, den)``).
+``a - b`` is one operation, normalized once, not ``a + (-b)``.
 
 Equality is decided by cross-multiplication, or by the numerators alone
 when the denominators are equal, so num/den pairs never need a
@@ -26,7 +27,10 @@ exact ``MultiPoly.try_div`` finds them, in two places:
 divisor's lex-leading monomial must divide the dividend's, and so must its
 lex-least one.  A field applied to a matrix (``MatRF.apply_derivation``)
 computes D(q) and q^2 once per distinct denominator q and leaves zero
-entries as they are.
+entries as they are.  ``gauge.curvature`` goes further when every block it
+reads is over one denominator q: it forms q^2 F from the numerators as
+polynomials, where ``MultiPoly``'s ``*``, ``+`` and ``-`` return at once on
+a zero operand, and builds each entry once, over q^2.
 
 A factor shared only in part is left: a sum over ``t^2 (t+3)^5`` and
 ``(t+3)^5 (t+1)`` still goes over their product, and a gauge-moved
@@ -36,6 +40,7 @@ curvature entry can keep ``t^2 (t+3)^10`` where its lowest form has
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping
 
 from .crational import CRational
@@ -141,6 +146,11 @@ class RationalFunction:
         if other.is_zero():
             return other
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        # a nonzero constant is a unit, so scaling by it keeps a stored pair
+        if d2.is_one() and n2.is_constant():
+            return _known_normal(n1 * n2, d1)
+        if d1.is_one() and n1.is_constant():
+            return _known_normal(n1 * n2, d2)
         n1, d2 = _cancel(n1, d2)
         n2, d1 = _cancel(n2, d1)
         return RationalFunction(n1 * n2, d1 * d2)
@@ -202,7 +212,7 @@ class RationalFunction:
         As with MultiPoly, values of two contexts are never equal: a
         constant hashes as its scalar in every context, so a set may hold
         the same constant from two contexts and compare them."""
-        if not isinstance(other, (RationalFunction, MultiPoly, int, CRational)):
+        if not isinstance(other, (RationalFunction, MultiPoly, int, Fraction, CRational)):
             return NotImplemented
         other = self._coerce(other)
         if self.ctx != other.ctx:

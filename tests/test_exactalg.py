@@ -329,6 +329,9 @@ class TestHashAgreesWithEq:
             assert v == c and hash(v) == hash(c)
         if not c.im:
             assert c == c.re and hash(c) == hash(c.re)
+        r = c.re  # a Fraction
+        for v in (MultiPoly.const(CTX, r), RationalFunction.const(CTX, r)):
+            assert v == r and r == v and hash(v) == hash(r)
         assert RationalFunction(p) == p and hash(RationalFunction(p)) == hash(p)
         assert len({CRational(1), 1, MultiPoly.one(CTX), RationalFunction.one(CTX)}) == 1
 
@@ -444,6 +447,26 @@ class TestNormalizeOnce:
         assert made == []
         a - b
         assert made == [1]
+
+    @given(rationals(), crationals())
+    @settings(max_examples=60, deadline=None)
+    def test_constant_scaling(self, x, c):
+        k = RationalFunction.const(CTX, c)
+        want = fields(RationalFunction(x.num.scale(c), x.den))
+        assert fields(k * x) == want and fields(x * k) == want
+
+    def test_constant_scaling_skips_normalize(self, monkeypatch):
+        a = P / Q
+        half = RationalFunction.const(CTX, Fraction(1, 2))
+        made = []
+        init = RationalFunction.__init__
+        monkeypatch.setattr(
+            RationalFunction, "__init__", lambda s, *args: made.append(1) or init(s, *args)
+        )
+        products = (half * a, a * half)
+        assert made == []
+        want = fields(RationalFunction(a.num.scale(Fraction(1, 2)), a.den))
+        assert all(fields(x) == want for x in products)
 
     @given(polys(), polys())
     @settings(max_examples=60, deadline=None)

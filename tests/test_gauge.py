@@ -1,8 +1,11 @@
 from fractions import Fraction
 
-from h5twistor import ansatz, gauge
-from h5twistor.exactalg import CRational, MatRF, MultiPoly, RationalFunction
-from h5twistor.heisenberg import CTX5, FieldId
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from h5twistor import ansatz, gauge, realslice
+from h5twistor.exactalg import CR_I, CRational, MatRF, MultiPoly, RationalFunction
+from h5twistor.heisenberg import COMPLEX_VARS, CTX5, FieldId, apply_field, bracket_table
 
 
 def rf(name):
@@ -74,6 +77,100 @@ class TestCurvature:
         assert at0(dz(pencil)) == -r2
         assert at0(pencil) == r3
         assert not any(r.is_zero() for r in (r1, r2, r3))
+
+
+def reference_curvature(conn, a, b, frame=None):
+    """The entrywise formula, each operation normalized on its own, as
+    ``gauge.curvature`` computes it for blocks over several denominators."""
+    pa, pb = conn.block(a), conn.block(b)
+    out = apply_field(a, pb, frame) - apply_field(b, pa, frame) + pa.commutator(pb)
+    k = bracket_table(a, b)
+    if k:
+        out = out - conn.block(FieldId.T).scale(RationalFunction.const(conn.ctx, k))
+    return out
+
+
+def small_polys():
+    """Polynomials of up to three terms, each the product of two variable
+    powers and a Gaussian-integer coefficient."""
+    var = st.sampled_from(COMPLEX_VARS)
+    coeff = st.sampled_from([1, -1, 2, -3, CR_I, CRational(1, -2)])
+    term = st.tuples(var, st.integers(0, 2), var, st.integers(0, 1), coeff)
+    return st.lists(term, max_size=3).map(
+        lambda ts: sum(
+            (MultiPoly.var(CTX5, x) ** i * MultiPoly.var(CTX5, y) ** j * c for x, i, y, j, c in ts),
+            MultiPoly.zero(CTX5),
+        )
+    )
+
+
+@st.composite
+def one_denominator_connections(draw):
+    """A connection whose blocks are numerator matrices, zeros included,
+    over one non-constant denominator q, with or without Phi_T."""
+    x = MultiPoly.var(CTX5, draw(st.sampled_from(COMPLEX_VARS)))
+    q = draw(small_polys()) + x + draw(st.integers(1, 3))
+    assume(not q.is_constant())
+    n = draw(st.sampled_from([1, 2]))
+    entry = st.one_of(st.just(MultiPoly.zero(CTX5)), small_polys())
+
+    def block():
+        return MatRF(
+            [[RationalFunction(draw(entry), q) for _ in range(n)] for _ in range(n)]
+        )
+
+    blocks = [block() for _ in range(4)]
+    phi_t = block() if draw(st.booleans()) else None
+    return gauge.ConnectionForm(*blocks, phi_t=phi_t)
+
+
+def all_blocks(conn):
+    return [conn.block(f) for f in FieldId]
+
+
+class TestOneDenominator:
+    """The one-denominator path agrees with the entrywise reference."""
+
+    @given(one_denominator_connections(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_entrywise_formula(self, conn, second_den):
+        ctx = conn.ctx
+        if second_den:
+            # one entry over another denominator: the entrywise path
+            e = conn.phi00[0, 0]
+            num = MultiPoly.one(ctx) if e.is_zero() else e.num
+            moved = [list(r) for r in conn.phi00.entries]
+            moved[0][0] = RationalFunction(num, e.den + MultiPoly.var(ctx, "y00p"))
+            conn = conn._replace(phi00=MatRF(moved))
+        one = gauge._one_denominator(ctx, all_blocks(conn))
+        assume(second_den == (one is None))
+        for a in FieldId:
+            for b in FieldId:
+                assert gauge.curvature(conn, a, b) == reference_curvature(conn, a, b), (a, b)
+        v00, v10, v01, v11 = gauge.HORIZONTAL
+        r1, r2, r3 = gauge.asd_residuals(conn)
+        assert r1 == reference_curvature(conn, v00, v10)
+        assert r2 == reference_curvature(conn, v00, v11) + reference_curvature(conn, v01, v10)
+        assert r3 == reference_curvature(conn, v01, v11)
+
+    @given(one_denominator_connections())
+    @settings(max_examples=20, deadline=None)
+    def test_agrees_on_the_real_frame(self, conn):
+        rc = realslice.pullback_connection(conn)
+        assume(gauge._one_denominator(rc.ctx, all_blocks(rc)) is not None)
+        frame = realslice._real_field_table(rc.ctx)
+        for a in FieldId:
+            for b in FieldId:
+                want = reference_curvature(rc, a, b, frame)
+                assert gauge.curvature(rc, a, b, frame) == want, (a, b)
+
+    def test_path_choice(self):
+        q = RationalFunction.var(CTX5, "t") + 1
+        over_q = rank1(phi00=rf("y10p") / q, phi11=rf("y00p") / q, phi_t=1 / q)
+        assert gauge._one_denominator(CTX5, all_blocks(over_q)) == q.num
+        assert gauge._one_denominator(CTX5, all_blocks(rank1())) == MultiPoly.one(CTX5)
+        two = rank1(phi00=rf("y10p") / q, phi11=1 / rf("t"))
+        assert gauge._one_denominator(CTX5, all_blocks(two)) is None
 
 
 class TestCost:

@@ -2,16 +2,20 @@
 
 ``golden_outputs.json`` holds the ``h5 construct`` stdout for a few seeds
 (polynomial, rational-coefficient, Gaussian-coefficient, ``t`` and the
-instanton) and the sha256 of three reports at seed 2024: ``h5 verify
---suite algebra``, ``h5 verify --suite all`` and ``h5 real check``.  A
-change to the kernel must leave these bytes alone; a deliberate change to
-the printed form must regenerate the file and say why.
+instanton), the sha256 of three reports at seed 2024: ``h5 verify
+--suite algebra``, ``h5 verify --suite all`` and ``h5 real check``, and
+under ``"outputs"`` the command list of ``tools/outputs.py`` with the
+sha256 and exit code of each command.  A change to the kernel must leave
+these bytes alone; a deliberate change to the printed form must
+regenerate the file and say why.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,11 @@ import pytest
 from h5twistor import cli
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "outputs.py"
+_SPEC = importlib.util.spec_from_file_location("outputs", _PATH)
+outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(outputs)
 
 
 def run(argv):
@@ -59,3 +68,13 @@ def test_verify_algebra_sha256(monkeypatch):
 )
 def test_report_sha256(monkeypatch, argv, key):
     assert run_report(monkeypatch, argv) == GOLDEN[key]
+
+
+def test_output_set():
+    entries = outputs.commands()
+    changed = [
+        shlex.join(e["argv"])
+        for e in entries
+        if outputs.run(e["argv"]) != (e["sha256"], e["exit"])
+    ]
+    assert len(entries) == 176 and changed == []

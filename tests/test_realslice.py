@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from h5twistor import ansatz, cli, heisenberg, realslice as R
+from h5twistor import ansatz, checks, cli, heisenberg, realslice as R
 from h5twistor.exactalg import CR_I, CRational, MatRF, MultiPoly, RationalFunction, make_context
 from h5twistor.heisenberg import FieldId
 
@@ -211,13 +211,39 @@ class TestSplits:
         assert coeffs["S00"].is_zero()
 
 
+CONNECTIONS = {
+    "t": lambda: ansatz.build_connection(ansatz.seed_catalog("t")),
+    "lin:y00p": lambda: ansatz.build_connection(ansatz.seed_catalog("lin:y00p")),
+    # not ASD, so F_H^+ is nonzero and a swapped projector shows
+    "nonasd": checks._nonasd_example,
+    "nonharmonic": checks._nonharmonic_example,
+}
+
+
 class TestCurvatureSplit:
-    @pytest.mark.parametrize("name", ["t", "lin:y00p"])
+    @pytest.mark.parametrize("name", list(CONNECTIONS))
     def test_two_paths_agree(self, name):
-        rc = R.pullback_connection(ansatz.build_connection(ansatz.seed_catalog(name)))
+        rc = R.pullback_connection(CONNECTIONS[name]())
         fh, _ = R.real_curvature_split(rc)
         fh2 = R.real_curvature_split_projector(rc)
         assert all(a == b for a, b in zip(fh, fh2))
+
+    @pytest.mark.parametrize("name", ["t", "inst"])
+    def test_vertical_part_agrees_with_the_projector(self, name):
+        """F_V, the formula path's F(f, T), gives the vertical part
+        hv_split(F)[1] = sum_f F(f, T) theta^f ^ theta of the full
+        curvature two-form."""
+        rc = R.pullback_connection(ansatz.build_connection(ansatz.seed_catalog(name)))
+        _, fv = R.real_curvature_split(rc)
+        assert not all(m.is_zero() for m in fv.values())
+        th = R.coframe(rc.ctx)
+        curv = R.curvature_two_form(rc)
+        for i in range(rc.rank):
+            for j in range(rc.rank):
+                want = R.RealForm(rc.ctx, 2, {})
+                for f, m in fv.items():
+                    want = want + th[f.value[1:]].wedge(th["theta"]).scale(m[i, j])
+                assert R.hv_split(curv[i][j])[1] == want, (i, j)
 
     def test_projector_split_reuses_the_s_matrix(self, monkeypatch):
         rc = R.pullback_connection(ansatz.build_connection(ansatz.seed_catalog("t")))

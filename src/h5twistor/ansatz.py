@@ -78,7 +78,7 @@ def log_derivative(field: FieldId, phi: RationalFunction) -> RationalFunction:
     """V(ln phi) = V(phi)/phi, assembled at the polynomial level to keep
     degrees low: for phi = n/d it is (V(n)d - nV(d)) / (nd)."""
     n, d = phi.num, phi.den
-    num = apply_field(field, n) * d - n * apply_field(field, d)
+    num = MultiPoly.dot(n.ctx, ((1, apply_field(field, n), d), (-1, n, apply_field(field, d))))
     return RationalFunction(num, n * d)
 
 

@@ -89,7 +89,10 @@ class _Parser:
         return tok
 
     def parse(self) -> RationalFunction:
-        out = self._sum()
+        try:
+            out = self._sum()
+        except RecursionError:  # the process-wide limit stays as it is
+            raise ExprError("expression nested too deeply") from None
         if self._peek() is not None:
             raise ExprError(f"trailing input at {self._peek()!r}")
         return out
@@ -198,7 +201,7 @@ def _parse_phit(text: str) -> MatRF | None:
         return None
     try:
         rows = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"bad --phit: {exc}") from None
     shape = [len(r) if isinstance(r, list) else 0 for r in rows] if isinstance(rows, list) else []
     if shape != [2, 2]:
@@ -230,7 +233,7 @@ def cmd_construct(args) -> int:
 def _parse_point(text: str) -> GroupPoint:
     try:
         return GroupPoint.from_json(text)
-    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError, RecursionError) as exc:
         raise UsageError(f"bad --point: {type(exc).__name__}: {exc}") from None
 
 

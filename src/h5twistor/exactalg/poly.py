@@ -17,16 +17,24 @@ most ``MAX_EXPONENT``, a monomial product is one int addition that cannot
 carry into the next field, and divisibility is one masked subtraction.  An
 exponent past ``MAX_EXPONENT`` raises ``OverflowError``.
 
+Each kernel builds one object per result straight from the packed terms:
+``MultiPoly.dot`` sums products ``k * x * y`` into one term map over the
+lcm of their denominators (``*`` is its one-product case),
+``apply_derivation`` adds every row's ``c * d/dx`` in one pass, and
+printing and ``evaluate`` read each exponent field from the key and print
+a coefficient from ``(a, b, den)`` alone.
+
 Only this module reads or builds ``terms``; ``CRational`` is the scalar of
-the public API (``const``, ``scale``, ``constant_value``, ``leading``,
-printing).
+the public API (``const``, ``scale``, ``constant_value``, ``leading``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import itemgetter, or_
 from typing import Dict, Mapping, Tuple
 
 from .crational import CRational, CR_ZERO
@@ -38,6 +46,7 @@ FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD = (1 << FIELD_BITS) - 1
 _GUARD_SHIFT = FIELD_BITS - 1
+_second = itemgetter(1)
 
 
 class ContextError(ValueError):
@@ -87,34 +96,52 @@ def _scalar(a: int, b: int, d: int) -> CRational:
     return CRational(Fraction(a, d), Fraction(b, d))
 
 
-def _mul_terms(t1: dict, t2: dict, ctx: Context) -> dict:
-    """Product of two term maps; only int products in the inner loop."""
-    if len(t1) > len(t2):
-        t1, t2 = t2, t1
-    re: Dict[int, int] = {}
-    if any(b for _, b in t1.values()) or any(b for _, b in t2.values()):
-        inner = [(e, a, b) for e, (a, b) in t2.items()]
-        im: Dict[int, int] = {}
+def _fma(re: Dict[int, int], im: Dict[int, int], left: dict, right: dict, f: int) -> None:
+    """Add ``f`` times the product of the term maps ``left`` and ``right``
+    into the real and imaginary maps ``re`` and ``im``; only int products
+    in the inner loop, and ``im`` is left alone when both maps are real."""
+    if any(map(_second, left.values())) or any(map(_second, right.values())):
         rget, iget = re.get, im.get
-        for e1, (a1, b1) in t1.items():
-            for e2, a2, b2 in inner:
+        for e1, (a1, b1) in left.items():
+            a1, b1 = a1 * f, b1 * f
+            for e2, (a2, b2) in right.items():
                 e = e1 + e2
                 re[e] = rget(e, 0) + a1 * a2 - b1 * b2
                 im[e] = iget(e, 0) + a1 * b2 + b1 * a2
-        terms = {e: (a, im[e]) for e, a in re.items() if a or im[e]}
     else:
-        inner = [(e, a) for e, (a, _) in t2.items()]
         get = re.get
-        for e1, (a1, _) in t1.items():
-            for e2, a2 in inner:
+        for e1, (a1, _) in left.items():
+            a1 *= f
+            for e2, (a2, _) in right.items():
                 e = e1 + e2
                 re[e] = get(e, 0) + a1 * a2
+
+
+def _collect(re: Dict[int, int], im: Dict[int, int], ctx: Context) -> dict:
+    """The zero-free term map of ``re + i*im`` (whose keys are among
+    ``re``'s), after one guard-bit check on its keys."""
+    if im:
+        iget = im.get
+        terms = {e: (a, b) for e, a in re.items() for b in (iget(e, 0),) if a or b}
+    else:
         terms = {e: (a, 0) for e, a in re.items() if a}
-    guard = _guard(len(ctx))
-    for e in terms:
-        if e & guard:
-            raise _overflow(ctx)
+    if reduce(or_, terms, 0) & _guard(len(ctx)):
+        raise _overflow(ctx)
     return terms
+
+
+def _coefficient_text(a: int, b: int, d: int) -> str:
+    """``str(CRational(Fraction(a, d), Fraction(b, d)))`` for a nonzero
+    ``(a + b*i) / d``, from the ints alone."""
+    text = ""
+    if a:
+        g = gcd(a, d)
+        text = f"{a // g}" if g == d else f"{a // g}/{d // g}"
+    if b:
+        g = gcd(b, d)
+        sign = "-" if b < 0 else ("+" if a else "")
+        text += f"{sign}{abs(b) // g}*i" if g == d else f"{sign}{abs(b) // g}/{d // g}*i"
+    return text
 
 
 class MultiPoly:
@@ -248,14 +275,38 @@ class MultiPoly:
             return self
         if self.is_one():
             return other
-        return MultiPoly(
-            self.ctx, _mul_terms(self.terms, other.terms, self.ctx), self.den * other.den
-        )
+        return MultiPoly.dot(self.ctx, ((1, self, other),))
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def dot(ctx: Context, triples) -> "MultiPoly":
+        """``sum k * x * y`` over ``(k, x, y)`` triples with int ``k``, as one
+        term map over the lcm of the ``x.den * y.den``: one construction for
+        the whole sum of products."""
+        live = []
+        for k, x, y in triples:
+            if x.ctx != ctx or y.ctx != ctx:
+                raise ContextError(f"context mismatch: {x.ctx} or {y.ctx} vs {ctx}")
+            if k and x.terms and y.terms:
+                live.append((k, x, y))
+        if not live:
+            return MultiPoly(ctx, {})
+        den = lcm(*(x.den * y.den for _, x, y in live))
+        re: Dict[int, int] = {}
+        im: Dict[int, int] = {}
+        for k, x, y in live:
+            t1, t2 = x.terms, y.terms
+            if len(t1) > len(t2):
+                t1, t2 = t2, t1
+            _fma(re, im, t1, t2, k * (den // (x.den * y.den)))
+        return MultiPoly(ctx, _collect(re, im, ctx), den)
+
     def scale(self, c) -> "MultiPoly":
-        p, q, r = _split(CRational.coerce(c))
+        return self._times(*_split(CRational.coerce(c)))
+
+    def _times(self, p: int, q: int, r: int) -> "MultiPoly":
+        """``self * (p + q*i) / r`` for ints p, q and r > 0."""
         if not (p or q):
             return MultiPoly(self.ctx, {})
         terms = {e: (a * p - b * q, a * q + b * p) for e, (a, b) in self.terms.items()}
@@ -293,16 +344,31 @@ class MultiPoly:
 
     def apply_derivation(self, rows, shared=None) -> "MultiPoly":
         """``sum c * d(self)/dx`` over the ``(x, c)`` rows of a vector field
-        whose coefficients ``c`` are polynomials in this context.  ``shared``
-        is unused (a polynomial has no denominator to share); it is taken
-        so that ``MatRF.apply_derivation`` applies a field to a matrix of
+        whose coefficients ``c`` are polynomials in this context, in one
+        pass: each term's derivative times each term of ``c`` goes into one
+        term map over the lcm of the rows' denominators.  ``shared`` is
+        unused (a polynomial has no denominator to share); it is taken so
+        that ``MatRF.apply_derivation`` applies a field to a matrix of
         polynomials as it does to one of rational functions."""
-        out = MultiPoly(self.ctx, {})
+        ctx = self.ctx
+        for _, c in rows:
+            if c.ctx != ctx:
+                raise ContextError(f"context mismatch: {c.ctx} vs {ctx}")
+        den = lcm(*(c.den for _, c in rows))
+        re: Dict[int, int] = {}
+        im: Dict[int, int] = {}
         for name, c in rows:
-            d = self.derivative(name)
-            if d.terms:
-                out = out + c * d
-        return out
+            shift = _shift(ctx, name)
+            unit = 1 << shift
+            d = {
+                e - unit: (a * k, b * k)
+                for e, (a, b) in self.terms.items()
+                for k in ((e >> shift) & _FIELD,)
+                if k
+            }
+            if d:
+                _fma(re, im, d, c.terms, den // c.den)
+        return MultiPoly(ctx, _collect(re, im, ctx), den * self.den)
 
     def integrate(self, name: str) -> "MultiPoly":
         """Termwise antiderivative in ``name`` with integration constant zero."""
@@ -368,10 +434,11 @@ class MultiPoly:
 
     def evaluate(self, point: Mapping[str, complex]) -> complex:
         out = 0j
-        d, n = self.den, len(self.ctx)
+        d, fields = self.den, _fields(self.ctx)
         for e, (a, b) in self.terms.items():
             v = complex(a / d) + 1j * complex(b / d)
-            for name, k in zip(self.ctx, _unpack(e, n)):
+            for name, shift in fields:
+                k = (e >> shift) & _FIELD
                 if k:
                     v *= point[name] ** k
             out += v
@@ -497,22 +564,25 @@ class MultiPoly:
         if self.is_zero():
             return "0"
         parts = []
-        n = len(self.ctx)
+        d, fields = self.den, _fields(self.ctx)
         for e in sorted(self.terms, reverse=True):
-            c = _scalar(*self.terms[e], self.den)
+            a, b = self.terms[e]
             mono = "*".join(
-                (f"{v}^{k}" if k > 1 else v)
-                for v, k in zip(self.ctx, _unpack(e, n))
-                if k
+                [f"{v}^{k}" if k > 1 else v for v, s in fields if (k := (e >> s) & _FIELD)]
             )
-            cs = str(c)
-            if "+" in cs[1:] or "-" in cs[1:]:
+            cs = _coefficient_text(a, b, d)
+            if a and b:
                 cs = f"({cs})"
             parts.append(f"{cs}*{mono}" if mono and cs != "1" else (mono or cs))
         return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def _fields(ctx: Context):
+    """``(name, bit offset)`` of each exponent field, in context order."""
+    return list(zip(ctx, range(FIELD_BITS * (len(ctx) - 1), -1, -FIELD_BITS)))
 
 
 def _shift(ctx: Context, name: str) -> int:

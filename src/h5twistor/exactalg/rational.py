@@ -25,12 +25,17 @@ exact ``MultiPoly.try_div`` finds them, in two places:
 
 ``try_div`` rejects most failed divisions before copying anything: the
 divisor's lex-leading monomial must divide the dividend's, and so must its
-lex-least one.  A field applied to a matrix (``MatRF.apply_derivation``)
-computes D(q) and q^2 once per distinct denominator q and leaves zero
-entries as they are.  ``gauge.curvature`` goes further when every block it
-reads is over one denominator q: it forms q^2 F from the numerators as
-polynomials, where ``MultiPoly``'s ``*``, ``+`` and ``-`` return at once on
-a zero operand, and builds each entry once, over q^2.
+lex-least one.  Each sum of products is one ``MultiPoly.dot``: the
+numerator of ``+`` over the product denominator, the cross-multiplication
+of ``==``, and the quotient rule D(p) q - p D(q), whose D(p) is
+``MultiPoly.apply_derivation``'s one pass over the rows.  The monic step
+of ``_normalize`` multiplies by 1 / lc(den) = d (a - b i) / (a^2 + b^2)
+for the leading numerator a + b i over d, in ints.  A field applied to a
+matrix (``MatRF.apply_derivation``) computes D(q) and q^2 once per
+distinct denominator q and leaves zero entries as they are.
+``gauge.curvature`` goes further when every block it reads is over one
+denominator q: it forms each entry of q^2 F from the numerators as one
+``MultiPoly.dot`` and builds the entry once, over q^2.
 
 A factor shared only in part is left: a sum over ``t^2 (t+3)^5`` and
 ``(t+3)^5 (t+1)`` still goes over their product, and a gauge-moved
@@ -41,6 +46,7 @@ curvature entry can keep ``t^2 (t+3)^10`` where its lowest form has
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 from .crational import CRational
@@ -133,7 +139,7 @@ class RationalFunction:
             q = d2.try_div(d1)
             if q is not None:
                 return RationalFunction((n1 * q)._combine(n2, sign), d2)
-        return RationalFunction((n1 * d2)._combine(n2 * d1, sign), d1 * d2)
+        return RationalFunction(MultiPoly.dot(self.ctx, ((1, n1, d2), (sign, n2, d1))), d1 * d2)
 
     def __neg__(self):
         return _known_normal(-self.num, self.den)
@@ -189,7 +195,9 @@ class RationalFunction:
         if dq_q2 is None:
             shared[q] = dq_q2 = (q.apply_derivation(rows), q * q)
         dq, q2 = dq_q2
-        return RationalFunction(p.apply_derivation(rows) * q - p * dq, q2)
+        return RationalFunction(
+            MultiPoly.dot(self.ctx, ((1, p.apply_derivation(rows), q), (-1, p, dq))), q2
+        )
 
     def derivative(self, name: str) -> "RationalFunction":
         """The one-row derivation d/d``name``."""
@@ -219,7 +227,7 @@ class RationalFunction:
             return False
         if self.den == other.den:
             return self.num == other.num
-        return (self.num * other.den) == (other.num * self.den)
+        return MultiPoly.dot(self.ctx, ((1, self.num, other.den), (-1, other.num, self.den))).is_zero()
 
     def __hash__(self):
         # A value that is a polynomial is stored over 1 (normalization
@@ -272,10 +280,12 @@ def _normalize(num: MultiPoly, den: MultiPoly):
             q = den.try_div(num)
             if q is not None:
                 num, den = MultiPoly.one(num.ctx), q
-    if not den.is_monic():
-        inv = den.leading()[1].inverse()
-        num = num.scale(inv)
-        den = den.scale(inv)
+    la, lb = den.terms[max(den.terms)]
+    if (la, lb) != (den.den, 0):
+        # times 1 / lc(den) = d (la - lb i) / (la^2 + lb^2), in ints
+        p, q, r = den.den * la, -den.den * lb, la * la + lb * lb
+        g = gcd(p, q, r)
+        num, den = num._times(p // g, q // g, r // g), den._times(p // g, q // g, r // g)
     return num, den
 
 

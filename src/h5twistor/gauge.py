@@ -70,8 +70,8 @@ def curvature(conn: ConnectionForm, a: FieldId, b: FieldId, frame=None) -> MatRF
     pt = conn.block(FieldId.T) if k else None
     q = _one_denominator(conn.ctx, (pa, pb, pt) if k else (pa, pb))
     if q is not None:
-        n = _numerator(conn, a, b, frame, q)
-        return _over(n - _nums(pt).scale(q.scale(k)) if k else n, q)
+        dq = {f: apply_field(f, q, frame) for f in (a, b)}
+        return _over(_numerator(conn, a, b, frame, q, dq, k, pt), q * q)
     out = apply_field(a, pb, frame) - apply_field(b, pa, frame) + pa.commutator(pb)
     if k:
         out = out - pt.scale(RationalFunction.const(conn.ctx, k))
@@ -91,21 +91,46 @@ def _nums(m: MatRF) -> MatRF:
     return m.map(lambda e: e.num)
 
 
-def _numerator(conn: ConnectionForm, a: FieldId, b: FieldId, frame, q: MultiPoly) -> MatRF:
-    """q^2 (a(Phi_b) - b(Phi_a) + [Phi_a, Phi_b]) as a matrix of polynomials,
-    for blocks over the one denominator q; ``frame`` as in ``curvature``."""
+def _numerator(conn: ConnectionForm, a: FieldId, b: FieldId, frame, q: MultiPoly, dq, k=0, pt=None):
+    """The ``MultiPoly.dot`` triples of each entry of q^2 (a(Phi_b) - b(Phi_a)
+    - k Phi_T + [Phi_a, Phi_b]), for blocks over the one denominator q;
+    ``frame`` as in ``curvature``, ``dq`` maps a field X to X(q), and ``pt``
+    is Phi_T when k is nonzero.  Fields are applied once per numerator
+    matrix."""
     na, nb = _nums(conn.block(a)), _nums(conn.block(b))
-    return (
-        (apply_field(a, nb, frame) - apply_field(b, na, frame)).scale(q)
-        - nb.scale(apply_field(a, q, frame))
-        + na.scale(apply_field(b, q, frame))
-        + na.commutator(nb)
-    )
+    anb, bna = apply_field(a, nb, frame).entries, apply_field(b, na, frame).entries
+    nt = _nums(pt).entries if k else None
+    comm = _commutator(na.entries, nb.entries)
+    n = range(na.rows)
+    return [
+        [
+            [(1, q, anb[i][j]), (-1, q, bna[i][j]), (-1, nb[i, j], dq[a]), (1, na[i, j], dq[b])]
+            + comm[i][j]
+            + ([(-k, q, nt[i][j])] if k else [])
+            for j in n
+        ]
+        for i in n
+    ]
 
 
-def _over(n: MatRF, q: MultiPoly) -> MatRF:
-    q2 = q * q
-    return n.map(lambda e: RationalFunction(e, q2))
+def _commutator(x, y):
+    """The ``MultiPoly.dot`` triples of each entry of [x, y]; for 2x2, in
+    the a - d and e - h form of ``MatRF.commutator``."""
+    if len(x) == 2:
+        (a, b), (c, d) = x
+        (e, f), (g, h) = y
+        a_d, e_h = a - d, e - h
+        return [
+            [[(1, b, g), (-1, c, f)], [(1, a_d, f), (-1, b, e_h)]],
+            [[(1, c, e_h), (-1, a_d, g)], [(-1, b, g), (1, c, f)]],
+        ]
+    n = range(len(x))
+    return [[[t for k in n for t in ((1, x[i][k], y[k][j]), (-1, y[i][k], x[k][j]))] for j in n] for i in n]
+
+
+def _over(n, q2: MultiPoly) -> MatRF:
+    """Each entry's triples summed by one ``MultiPoly.dot``, over q^2."""
+    return MatRF([[RationalFunction(MultiPoly.dot(q2.ctx, t), q2) for t in row] for row in n])
 
 
 def asd_residuals(conn: ConnectionForm) -> Tuple[MatRF, MatRF, MatRF]:
@@ -117,15 +142,20 @@ def asd_residuals(conn: ConnectionForm) -> Tuple[MatRF, MatRF, MatRF]:
 
     The central block cancels from R2 because the two bracket terms carry
     opposite structure constants.  When the four horizontal blocks share
-    one denominator q, R2's two numerators are added before dividing.
+    one denominator q, each field is applied to q once, q^2 is formed once,
+    and R2's two numerators are summed in one ``MultiPoly.dot`` per entry.
     """
     v00, v10, v01, v11 = HORIZONTAL
-    r1, r3 = curvature(conn, v00, v10), curvature(conn, v01, v11)
     q = _one_denominator(conn.ctx, (conn.phi00, conn.phi10, conn.phi01, conn.phi11))
     if q is None:
+        r1, r3 = curvature(conn, v00, v10), curvature(conn, v01, v11)
         return r1, curvature(conn, v00, v11) + curvature(conn, v01, v10), r3
-    n = _numerator(conn, v00, v11, None, q) + _numerator(conn, v01, v10, None, q)
-    return r1, _over(n, q), r3
+    dq = {f: apply_field(f, q) for f in HORIZONTAL}
+    pairs = ((v00, v10), (v00, v11), (v01, v10), (v01, v11))
+    r1, r2a, r2b, r3 = (_numerator(conn, a, b, None, q, dq) for a, b in pairs)
+    q2 = q * q
+    r2 = [[s + t for s, t in zip(*rows)] for rows in zip(r2a, r2b)]
+    return _over(r1, q2), _over(r2, q2), _over(r3, q2)
 
 
 def is_asd(conn: ConnectionForm) -> bool:

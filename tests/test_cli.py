@@ -186,6 +186,32 @@ class TestBadInput:
         assert payload["schema"] == 1 and "finite" in payload["error"]
 
 
+def nested(depth, inner="t"):
+    return "(" * depth + inner + ")" * depth
+
+
+DEEP_INPUT = {
+    "phi": ["construct", "--phi", nested(3000)],
+    "phit-entry": ["construct", "--phi", "t", "--phit", json.dumps([[nested(400), "0"], ["0", "0"]])],
+    "point-json": ["eval", "--object", "connection", "--point", "[" * 5000],
+    "phit-json": ["construct", "--phi", "t", "--phit", "[" * 5000],
+}
+
+
+class TestDeepNesting:
+    """Input nested past the interpreter's recursion limit is a usage
+    error, exit 2 with the JSON error, on every input path."""
+
+    @pytest.mark.parametrize("path", sorted(DEEP_INPUT))
+    def test_json_error(self, capsys, path):
+        assert cli.main(DEEP_INPUT[path]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == 1 and payload["error"]
+
+    def test_moderate_nesting_still_parses(self):
+        assert cli.parse_expression(nested(100)) == rf("t")
+
+
 USAGE_ERRORS = [
     [],
     ["verify", "--format", "xml"],

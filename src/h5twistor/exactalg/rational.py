@@ -33,14 +33,16 @@ of ``_normalize`` multiplies by 1 / lc(den) = d (a - b i) / (a^2 + b^2)
 for the leading numerator a + b i over d, in ints.  A field applied to a
 matrix (``MatRF.apply_derivation``) computes D(q) and q^2 once per
 distinct denominator q and leaves zero entries as they are.
-``gauge.curvature`` goes further when every block it reads is over one
-denominator q: it forms each entry of q^2 F from the numerators as one
-``MultiPoly.dot`` and builds the entry once, over q^2.
+``gauge.curvature`` goes further when every denominator of the blocks it
+reads divides the one of highest degree, q: it forms each entry of q^2 F
+from the numerators, lifted to q, as one ``MultiPoly.dot`` and builds the
+entry once, over q^2.
 
 A factor shared only in part is left: a sum over ``t^2 (t+3)^5`` and
-``(t+3)^5 (t+1)`` still goes over their product, and a gauge-moved
-curvature entry can keep ``t^2 (t+3)^10`` where its lowest form has
-``t^2 (t+3)^3``.  Such pairs need factored denominators or a GCD.
+``(t+3)^5 (t+1)`` still goes over their product, and a curvature entry of
+a gauge-moved connection, whose blocks' denominators all divide
+t (t+3)^3, is stored over ``t^2 (t+3)^6`` where its lowest form has
+``t^2 (t+3)^2``.  Such pairs need factored denominators or a GCD.
 """
 
 from __future__ import annotations

@@ -53,53 +53,73 @@ def curvature(conn: ConnectionForm, a: FieldId, b: FieldId, frame=None) -> MatRF
     ``heisenberg.field_frame`` of the context when None, the real fields on
     the real slice.
 
-    When every nonzero entry of the blocks read (Phi_a, Phi_b, and Phi_T
-    when [a, b] has a T part k T) is stored over one denominator q, q = 1
-    included, as for most connections built from a seed (each entry is
-    c V(phi)/phi), the numerator matrices N_X give the polynomial matrix
+    The blocks read are Phi_a, Phi_b, and Phi_T when [a, b] has a T part
+    k T.  Let q be the denominator of highest total degree among their
+    nonzero entries (1 when there are none).  When every other
+    denominator d divides q exactly, as for connections built from a seed
+    (each entry is c V(phi)/phi, one q) and for the benchmark's gauge
+    moves of the t-seed (t, t + s, ..., all dividing t (t+s)^3), each
+    entry is lifted to q by its cofactor q/d, and the numerator matrices
+    N_X give the polynomial matrix
 
         q^2 F = q (a(N_b) - b(N_a) - k N_T) - a(q) N_b + b(q) N_a + [N_a, N_b]
 
-    and each entry is divided by q^2 once.  Otherwise each operation is
-    taken entrywise: a common multiple of the denominators costs more in
-    products than it saves (R1 of gauge-swell's moved connections: 10-16
-    ms per four moves over a common multiple, 9-10 ms entrywise, 2-vCPU Xeon).
+    whose entries are each divided by q^2 once.  Otherwise each operation
+    is taken entrywise, normalized on its own.
     """
     pa, pb = conn.block(a), conn.block(b)
     k = bracket_table(a, b)
     pt = conn.block(FieldId.T) if k else None
-    q = _one_denominator(conn.ctx, (pa, pb, pt) if k else (pa, pb))
-    if q is not None:
+    common = _common_denominator(conn.ctx, (pa, pb, pt) if k else (pa, pb))
+    if common is not None:
+        q, cof = common
         dq = {f: apply_field(f, q, frame) for f in (a, b)}
-        return _over(_numerator(conn, a, b, frame, q, dq, k, pt), q * q)
+        return _over(_numerator(conn, a, b, frame, q, cof, dq, k, pt), q * q)
     out = apply_field(a, pb, frame) - apply_field(b, pa, frame) + pa.commutator(pb)
     if k:
         out = out - pt.scale(RationalFunction.const(conn.ctx, k))
     return out
 
 
-def _one_denominator(ctx: Context, blocks) -> MultiPoly | None:
-    """The one denominator of the blocks' nonzero entries (1 when there are
-    none), or None when they have more than one."""
-    dens = [e.den for m in blocks for row in m.entries for e in row if not e.is_zero()]
+def _common_denominator(ctx: Context, blocks) -> Tuple[MultiPoly, dict] | None:
+    """``(q, cofactors)``: q is the blocks' nonzero entries' denominator of
+    highest total degree (1 when there are none), and ``cofactors`` maps
+    each other denominator d to q / d.  None when some d does not divide q."""
+    dens = []
+    for m in blocks:
+        for row in m.entries:
+            for e in row:
+                if not (e.is_zero() or e.den in dens):
+                    dens.append(e.den)
     if not dens:
-        return MultiPoly.one(ctx)
-    return dens[0] if all(d == dens[0] for d in dens) else None
+        return MultiPoly.one(ctx), {}
+    q = max(dens, key=MultiPoly.total_degree) if len(dens) > 1 else dens[0]
+    cof = {}
+    for d in dens:
+        if d is not q:
+            cof[d] = q.try_div(d)
+            if cof[d] is None:
+                return None
+    return q, cof
 
 
-def _nums(m: MatRF) -> MatRF:
-    return m.map(lambda e: e.num)
+def _nums(m: MatRF, cof) -> MatRF:
+    """The numerators of m's entries over the common denominator: each
+    lifted by its cofactor in ``cof``, or as stored when its denominator is q."""
+    if not cof:
+        return m.map(lambda e: e.num)
+    return m.map(lambda e: e.num * cof[e.den] if e.den in cof else e.num)
 
 
-def _numerator(conn: ConnectionForm, a: FieldId, b: FieldId, frame, q: MultiPoly, dq, k=0, pt=None):
+def _numerator(conn: ConnectionForm, a: FieldId, b: FieldId, frame, q: MultiPoly, cof, dq, k=0, pt=None):
     """The ``MultiPoly.dot`` triples of each entry of q^2 (a(Phi_b) - b(Phi_a)
-    - k Phi_T + [Phi_a, Phi_b]), for blocks over the one denominator q;
-    ``frame`` as in ``curvature``, ``dq`` maps a field X to X(q), and ``pt``
-    is Phi_T when k is nonzero.  Fields are applied once per numerator
-    matrix."""
-    na, nb = _nums(conn.block(a)), _nums(conn.block(b))
+    - k Phi_T + [Phi_a, Phi_b]), for blocks over the common denominator q
+    with ``cof`` from ``_common_denominator``; ``frame`` as in ``curvature``,
+    ``dq`` maps a field X to X(q), and ``pt`` is Phi_T when k is nonzero.
+    Fields are applied once per numerator matrix."""
+    na, nb = _nums(conn.block(a), cof), _nums(conn.block(b), cof)
     anb, bna = apply_field(a, nb, frame).entries, apply_field(b, na, frame).entries
-    nt = _nums(pt).entries if k else None
+    nt = _nums(pt, cof).entries if k else None
     comm = _commutator(na.entries, nb.entries)
     n = range(na.rows)
     return [
@@ -115,14 +135,17 @@ def _numerator(conn: ConnectionForm, a: FieldId, b: FieldId, frame, q: MultiPoly
 
 def _commutator(x, y):
     """The ``MultiPoly.dot`` triples of each entry of [x, y]; for 2x2, in
-    the a - d and e - h form of ``MatRF.commutator``."""
+    the a - d and e - h form of ``MatRF.commutator``, with b g - c f formed
+    once for both diagonal entries."""
     if len(x) == 2:
         (a, b), (c, d) = x
         (e, f), (g, h) = y
         a_d, e_h = a - d, e - h
+        c00 = MultiPoly.dot(a.ctx, ((1, b, g), (-1, c, f)))
+        one = MultiPoly.one(a.ctx)
         return [
-            [[(1, b, g), (-1, c, f)], [(1, a_d, f), (-1, b, e_h)]],
-            [[(1, c, e_h), (-1, a_d, g)], [(-1, b, g), (1, c, f)]],
+            [[(1, c00, one)], [(1, a_d, f), (-1, b, e_h)]],
+            [[(1, c, e_h), (-1, a_d, g)], [(-1, c00, one)]],
         ]
     n = range(len(x))
     return [[[t for k in n for t in ((1, x[i][k], y[k][j]), (-1, y[i][k], x[k][j]))] for j in n] for i in n]
@@ -143,16 +166,19 @@ def asd_residuals(conn: ConnectionForm) -> Tuple[MatRF, MatRF, MatRF]:
     The central block cancels from R2 because the two bracket terms carry
     opposite structure constants.  When the four horizontal blocks share
     one denominator q, each field is applied to q once, q^2 is formed once,
-    and R2's two numerators are summed in one ``MultiPoly.dot`` per entry.
+    and R2's two numerators are summed in one ``MultiPoly.dot`` per entry;
+    as in ``curvature``, that one denominator is the one of highest degree
+    when every other denominator divides it.
     """
     v00, v10, v01, v11 = HORIZONTAL
-    q = _one_denominator(conn.ctx, (conn.phi00, conn.phi10, conn.phi01, conn.phi11))
-    if q is None:
+    common = _common_denominator(conn.ctx, (conn.phi00, conn.phi10, conn.phi01, conn.phi11))
+    if common is None:
         r1, r3 = curvature(conn, v00, v10), curvature(conn, v01, v11)
         return r1, curvature(conn, v00, v11) + curvature(conn, v01, v10), r3
+    q, cof = common
     dq = {f: apply_field(f, q) for f in HORIZONTAL}
     pairs = ((v00, v10), (v00, v11), (v01, v10), (v01, v11))
-    r1, r2a, r2b, r3 = (_numerator(conn, a, b, None, q, dq) for a, b in pairs)
+    r1, r2a, r2b, r3 = (_numerator(conn, a, b, None, q, cof, dq) for a, b in pairs)
     q2 = q * q
     r2 = [[s + t for s, t in zip(*rows)] for rows in zip(r2a, r2b)]
     return _over(r1, q2), _over(r2, q2), _over(r3, q2)
@@ -177,13 +203,16 @@ def zeta_flatness(conn: ConnectionForm) -> MatRF:
     return r1.scale(zeta * zeta) - r2.scale(zeta) + r3
 
 
-def gauge_transform(conn: ConnectionForm, g: MatRF) -> ConnectionForm:
-    """Transform the potential: Phi_X -> g^-1 Phi_X g + g^-1 (Xg) per
-    direction; curvature then conjugates as F -> g^-1 F g."""
+def gauge_transform(conn: ConnectionForm, g: MatRF, frame=None) -> ConnectionForm:
+    """Transform the potential: Phi_X -> g^-1 Phi_X g + g^-1 X(g) per
+    direction, computed as g^-1 (Phi_X g + X(g)) with g^-1 formed once, so
+    Phi_X g and X(g) cancel before anything is multiplied by g^-1: two
+    matrix products per block, not three.  Curvature then conjugates as
+    F -> g^-1 F g.  ``frame`` gives the fields' rows, as in ``curvature``."""
     ginv = g.inverse()
 
     def tr(field: FieldId, block: MatRF) -> MatRF:
-        return ginv @ block @ g + ginv @ apply_field(field, g)
+        return ginv @ (block @ g + apply_field(field, g, frame))
 
     return ConnectionForm(
         phi00=tr(FieldId.V00, conn.phi00),

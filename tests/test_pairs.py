@@ -41,12 +41,13 @@ def test_no_claim_below_ten_pairs():
     assert pairs.claim_rule(20).startswith("change wins >= 18 of 20 pairs")
 
 
-def test_claim_protocol_is_enforced_on_the_command_line():
+def test_claim_protocol_is_enforced_on_the_command_line(capsys):
     base = ["--parent", ".", "--change", ".", "--run", "seed-sweep:1", "--label", "x",
             "--claim", "seed-sweep:wall_s"]
     for extra in (["--pairs", "3"], ["--seconds", "8"]):
         with pytest.raises(SystemExit):
             pairs.main(base + extra)
+        assert "--claim needs at least 10 pairs of 40 s runs" in capsys.readouterr().err
 
 
 def test_summary_rejects_unpaired_runs():
